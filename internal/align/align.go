@@ -2,13 +2,12 @@
 // reproduction. The paper uses Edlib's global alignment as ground truth for
 // every accuracy experiment; Edlib is an implementation of Myers' 1999
 // bit-vector algorithm, which this package reimplements (blocked variant for
-// sequences longer than one machine word, per Hyyrö 2003). A banded
-// dynamic-programming Levenshtein (Ukkonen) serves as the mapper's
-// verification kernel, and a plain quadratic DP acts as the reference
+// sequences longer than one machine word, per Hyyrö 2003). The same
+// algorithm, restricted to the blocks an alignment within the edit budget
+// can reach and with a bit-vector traceback, is the mapper's verification
+// kernel (Verifier). A plain quadratic DP acts as the reference
 // implementation in tests.
 package align
-
-import "math"
 
 const (
 	wordBits = 64
@@ -49,47 +48,44 @@ func Distance(a, b []byte) int {
 		if eqAll == nil {
 			eqAll = zero
 		}
-		hin := 1 // global mode: the first DP row is 0,1,2,...
+		hp, hn := uint64(1), uint64(0) // global mode: the first DP row is 0,1,2,...
 		for blk := 0; blk < blocks; blk++ {
-			var hout int
-			pv[blk], mv[blk], hout = advanceBlock(pv[blk], mv[blk], eqAll[blk], hin,
-				blk == blocks-1, lastBit)
-			hin = hout
+			pv[blk], mv[blk], hp, hn = myersStep(pv[blk], mv[blk], eqAll[blk], hp, hn,
+				outBit(blk, blocks, lastBit))
 		}
-		score += hin
+		score += int(hp) - int(hn)
 	}
 	return score
 }
 
-// advanceBlock performs one column step of Hyyrö's blocked Myers algorithm on
-// a single 64-row block. hin is the horizontal delta entering the block from
-// above (-1, 0, +1); the returned hout is the horizontal delta at the block's
-// last row — or, when last is set, at lastBit (the final pattern row, which
-// may fall inside a partially used block).
-func advanceBlock(pv, mv, eq uint64, hin int, last bool, lastBit uint) (pvOut, mvOut uint64, hout int) {
-	var hinIsNeg, hinIsPos uint64
-	if hin < 0 {
-		hinIsNeg = 1
-	} else if hin > 0 {
-		hinIsPos = 1
-	}
+// myersStep performs one column step of Hyyrö's blocked Myers algorithm on
+// a single 64-row block. hinPos/hinNeg are 1 when the horizontal delta
+// entering the block from above is +1/−1 (both 0 for 0); houtPos/houtNeg
+// report the horizontal delta the same way at row outBit — the block's last
+// row, or the final pattern row inside a partially used last block.
+//
+//gk:noalloc
+func myersStep(pv, mv, eq, hinPos, hinNeg uint64, outBit uint) (pvOut, mvOut, houtPos, houtNeg uint64) {
 	xv := eq | mv
-	eq |= hinIsNeg
+	eq |= hinNeg
 	xh := (((eq & pv) + pv) ^ pv) | eq
 	ph := mv | ^(xh | pv)
 	mh := pv & xh
+	houtPos, houtNeg = ph>>outBit&1, mh>>outBit&1
+	ph = ph<<1 | hinPos
+	mh = mh<<1 | hinNeg
+	return mh | ^(xv | ph), ph & xv, houtPos, houtNeg
+}
 
-	outBit := uint(wordBits - 1)
-	if last {
-		outBit = lastBit
+// outBit returns the row of block blk at which myersStep reports its
+// horizontal delta: the last row, or lastBit in the pattern's last block.
+//
+//gk:noalloc
+func outBit(blk, blocks int, lastBit uint) uint {
+	if blk == blocks-1 {
+		return lastBit
 	}
-	hout = int((ph>>outBit)&1) - int((mh>>outBit)&1)
-
-	ph = ph<<1 | hinIsPos
-	mh = mh<<1 | hinIsNeg
-	pvOut = mh | ^(xv | ph)
-	mvOut = ph & xv
-	return pvOut, mvOut, hout
+	return wordBits - 1
 }
 
 // buildPeq precomputes the match bitvectors: peq[c][blk] has bit i set when
@@ -106,88 +102,9 @@ func buildPeq(pattern []byte, blocks int) [256][]uint64 {
 	return peq
 }
 
-// DistanceBanded computes the global edit distance between a and b if it
-// does not exceed maxDist, using Ukkonen's banded DP in O((max+1)·len) time.
-// It returns (distance, true) when distance ≤ maxDist and (0, false)
-// otherwise. This is the mapper's verification kernel — the
-// computationally-expensive stage the pre-alignment filter protects.
-func DistanceBanded(a, b []byte, maxDist int) (int, bool) {
-	m, n := len(a), len(b)
-	if maxDist < 0 {
-		return 0, false
-	}
-	if abs(m-n) > maxDist {
-		return 0, false
-	}
-	if m == 0 {
-		return n, n <= maxDist
-	}
-	if n == 0 {
-		return m, m <= maxDist
-	}
-	// Band half-width: cells with |i-j| > maxDist can never contribute.
-	const inf = math.MaxInt32
-	width := 2*maxDist + 1
-	prev := make([]int, width)
-	cur := make([]int, width)
-	// Row 0: D[0][j] = j for j in [0, maxDist].
-	for k := 0; k < width; k++ {
-		j := k - maxDist // column offset relative to diagonal of row 0
-		if j >= 0 && j <= n && j <= maxDist {
-			prev[k] = j
-		} else {
-			prev[k] = inf
-		}
-	}
-	for i := 1; i <= m; i++ {
-		rowMin := inf
-		for k := 0; k < width; k++ {
-			j := i + k - maxDist
-			if j < 0 || j > n {
-				cur[k] = inf
-				continue
-			}
-			best := inf
-			if j == 0 {
-				best = i
-			} else {
-				// Substitution / match: prev row, same k (diagonal).
-				if prev[k] != inf {
-					cost := 1
-					if a[i-1] == b[j-1] {
-						cost = 0
-					}
-					best = prev[k] + cost
-				}
-				// Deletion from a: prev row, k+1.
-				if k+1 < width && prev[k+1] != inf && prev[k+1]+1 < best {
-					best = prev[k+1] + 1
-				}
-				// Insertion into a: current row, k-1.
-				if k-1 >= 0 && cur[k-1] != inf && cur[k-1]+1 < best {
-					best = cur[k-1] + 1
-				}
-			}
-			cur[k] = best
-			if best < rowMin {
-				rowMin = best
-			}
-		}
-		if rowMin > maxDist {
-			return 0, false
-		}
-		prev, cur = cur, prev
-	}
-	k := n - m + maxDist
-	if k < 0 || k >= width || prev[k] > maxDist {
-		return 0, false
-	}
-	return prev[k], true
-}
-
 // DistanceDP is the plain quadratic Levenshtein DP. It exists as the
 // unambiguous reference implementation for property tests and worked
-// examples; production paths use Distance or DistanceBanded.
+// examples; production paths use Distance or a Verifier.
 func DistanceDP(a, b []byte) int {
 	m, n := len(a), len(b)
 	prev := make([]int, n+1)

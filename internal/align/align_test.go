@@ -122,15 +122,19 @@ func clampSeq(raw []byte, maxLen int) []byte {
 	return seq
 }
 
+// The DistanceBanded tests pin the Verifier's distance pass, which took
+// over banded verification.
+
 func TestDistanceBandedAgreesWithDP(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
+	var v Verifier
 	for i := 0; i < 200; i++ {
 		n := 1 + rng.Intn(150)
 		a := dna.RandomSeq(rng, n)
 		b := dna.ApplyEdits(a, dna.RandomEdits(rng, n, rng.Intn(12), 0.5))
 		maxDist := rng.Intn(15)
 		want := DistanceDP(a, b)
-		got, ok := DistanceBanded(a, b, maxDist)
+		got, ok := v.Verify(a, b, maxDist)
 		if want <= maxDist {
 			if !ok || got != want {
 				t.Fatalf("banded=(%d,%v), want (%d,true); maxDist=%d", got, ok, want, maxDist)
@@ -142,35 +146,37 @@ func TestDistanceBandedAgreesWithDP(t *testing.T) {
 }
 
 func TestDistanceBandedEdgeCases(t *testing.T) {
-	if _, ok := DistanceBanded([]byte("ACGT"), []byte("ACGT"), -1); ok {
+	var v Verifier
+	if _, ok := v.Verify([]byte("ACGT"), []byte("ACGT"), -1); ok {
 		t.Fatal("negative budget accepted")
 	}
-	if d, ok := DistanceBanded(nil, []byte("AC"), 2); !ok || d != 2 {
+	if d, ok := v.Verify(nil, []byte("AC"), 2); !ok || d != 2 {
 		t.Fatalf("empty a: (%d,%v)", d, ok)
 	}
-	if d, ok := DistanceBanded([]byte("AC"), nil, 2); !ok || d != 2 {
+	if d, ok := v.Verify([]byte("AC"), nil, 2); !ok || d != 2 {
 		t.Fatalf("empty b: (%d,%v)", d, ok)
 	}
-	if _, ok := DistanceBanded([]byte("AAAAAAAA"), []byte("A"), 3); ok {
+	if _, ok := v.Verify([]byte("AAAAAAAA"), []byte("A"), 3); ok {
 		t.Fatal("length gap beyond band accepted")
 	}
-	if d, ok := DistanceBanded([]byte("ACGT"), []byte("ACGT"), 0); !ok || d != 0 {
+	if d, ok := v.Verify([]byte("ACGT"), []byte("ACGT"), 0); !ok || d != 0 {
 		t.Fatalf("exact match with zero budget: (%d,%v)", d, ok)
 	}
-	if _, ok := DistanceBanded([]byte("ACGT"), []byte("ACGA"), 0); ok {
+	if _, ok := v.Verify([]byte("ACGT"), []byte("ACGA"), 0); ok {
 		t.Fatal("mismatch accepted with zero budget")
 	}
 }
 
 func TestDistanceBandedEarlyExit(t *testing.T) {
 	// Completely dissimilar sequences must be rejected, exercising the
-	// row-minimum early exit.
+	// cut-off on the end cell's diagonal.
 	a := make([]byte, 200)
 	b := make([]byte, 200)
 	for i := range a {
 		a[i], b[i] = 'A', 'T'
 	}
-	if _, ok := DistanceBanded(a, b, 10); ok {
+	var v Verifier
+	if _, ok := v.Verify(a, b, 10); ok {
 		t.Fatal("banded accepted 200 mismatches with budget 10")
 	}
 }
@@ -207,12 +213,27 @@ func BenchmarkDistance100bp(b *testing.B) {
 	}
 }
 
-func BenchmarkDistanceBanded100bp(b *testing.B) {
+func BenchmarkVerify100bp(b *testing.B) {
 	rng := rand.New(rand.NewSource(8))
 	x := dna.RandomSeq(rng, 100)
 	y := dna.MutateSubstitutions(rng, x, 5)
+	var v Verifier
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		DistanceBanded(x, y, 5)
+		v.Verify(x, y, 5)
+	}
+}
+
+// BenchmarkVerifyTraceback100bp adds the traceback and CIGAR rendering the
+// mapper runs for every accepted pair when CIGARs are on.
+func BenchmarkVerifyTraceback100bp(b *testing.B) {
+	rng := rand.New(rand.NewSource(8))
+	x := dna.RandomSeq(rng, 100)
+	y := dna.MutateSubstitutions(rng, x, 5)
+	var v Verifier
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		v.Verify(x, y, 5)
+		v.CIGARCompat()
 	}
 }

@@ -31,14 +31,12 @@ func DistanceSemiGlobal(pattern, text []byte) int {
 		if eqAll == nil {
 			eqAll = zero
 		}
-		hin := 0 // HW mode: the first DP row is all zeros
+		hp, hn := uint64(0), uint64(0) // HW mode: the first DP row is all zeros
 		for blk := 0; blk < blocks; blk++ {
-			var hout int
-			pv[blk], mv[blk], hout = advanceBlock(pv[blk], mv[blk], eqAll[blk], hin,
-				blk == blocks-1, lastBit)
-			hin = hout
+			pv[blk], mv[blk], hp, hn = myersStep(pv[blk], mv[blk], eqAll[blk], hp, hn,
+				outBit(blk, blocks, lastBit))
 		}
-		score += hin
+		score += int(hp) - int(hn)
 		if score < best {
 			best = score
 		}
@@ -74,14 +72,12 @@ func DistancePrefix(pattern, text []byte) int {
 		if eqAll == nil {
 			eqAll = zero
 		}
-		hin := 1 // SHW mode: leading text must be consumed (first row 0..n)
+		hp, hn := uint64(1), uint64(0) // SHW mode: leading text must be consumed (first row 0..n)
 		for blk := 0; blk < blocks; blk++ {
-			var hout int
-			pv[blk], mv[blk], hout = advanceBlock(pv[blk], mv[blk], eqAll[blk], hin,
-				blk == blocks-1, lastBit)
-			hin = hout
+			pv[blk], mv[blk], hp, hn = myersStep(pv[blk], mv[blk], eqAll[blk], hp, hn,
+				outBit(blk, blocks, lastBit))
 		}
-		score += hin
+		score += int(hp) - int(hn)
 		if score < best {
 			best = score
 		}

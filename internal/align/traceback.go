@@ -1,10 +1,5 @@
 package align
 
-import (
-	"fmt"
-	"strings"
-)
-
 // Op is one alignment operation in CIGAR vocabulary.
 type Op byte
 
@@ -17,151 +12,127 @@ const (
 	OpDel      Op = 'D'
 )
 
-// Alignment is the result of a global alignment with traceback.
-type Alignment struct {
-	Distance int
-	Ops      []Op // one entry per alignment column, read-major order
+// Ops returns the alignment of the last pair Verify accepted, one op per
+// alignment column in read-major order, or nil when it rejected the pair.
+// Among equally short alignments it takes, walking back from the end, a
+// diagonal step first, then an insertion, then a deletion. The slice is the
+// Verifier's own and is overwritten by the next Verify.
+//
+//gk:noalloc
+func (v *Verifier) Ops() []Op {
+	if v.ok && v.ops == nil {
+		v.traceback()
+	}
+	return v.ops
 }
 
-// CIGAR renders the operations run-length encoded, extended style
-// (=/X/I/D). Use CIGARCompat for the classic M-style string.
-func (a Alignment) CIGAR() string {
-	return renderCigar(a.Ops, func(op Op) byte { return byte(op) })
-}
-
-// CIGARCompat renders the classic SAM CIGAR where matches and mismatches
-// both appear as 'M'.
-func (a Alignment) CIGARCompat() string {
-	return renderCigar(a.Ops, func(op Op) byte {
-		if op == OpMatch || op == OpMismatch {
-			return 'M'
-		}
-		return byte(op)
-	})
-}
-
-func renderCigar(ops []Op, classify func(Op) byte) string {
-	if len(ops) == 0 {
-		return "*"
-	}
-	var sb strings.Builder
-	runClass := classify(ops[0])
-	runLen := 1
-	for _, op := range ops[1:] {
-		c := classify(op)
-		if c == runClass {
-			runLen++
-			continue
-		}
-		fmt.Fprintf(&sb, "%d%c", runLen, runClass)
-		runClass, runLen = c, 1
-	}
-	fmt.Fprintf(&sb, "%d%c", runLen, runClass)
-	return sb.String()
-}
-
-// Align computes a global alignment of a (the read) against b within a
-// banded edit-distance budget, returning the distance and traceback. It
-// returns ok=false when the distance exceeds maxDist. The full DP band is
-// materialized for traceback, so memory is O((2·maxDist+1)·len(a)).
-func Align(a, b []byte, maxDist int) (Alignment, bool) {
-	m, n := len(a), len(b)
-	if maxDist < 0 || abs(m-n) > maxDist {
-		return Alignment{}, false
-	}
-	const inf = int(^uint(0) >> 2)
-	width := 2*maxDist + 1
-	// rows[i][k] is D[i][j] with j = i + k - maxDist.
-	rows := make([][]int, m+1)
-	for i := range rows {
-		rows[i] = make([]int, width)
-		for k := range rows[i] {
-			rows[i][k] = inf
-		}
-	}
-	for k := 0; k < width; k++ {
-		if j := k - maxDist; j >= 0 && j <= n && j <= maxDist {
-			rows[0][k] = j
-		}
-	}
-	for i := 1; i <= m; i++ {
-		rowMin := inf
-		for k := 0; k < width; k++ {
-			j := i + k - maxDist
-			if j < 0 || j > n {
+// traceback walks from (m, n) back to (0, 0) over the cells the distance
+// pass stored, filling the op buffer from its end.
+//
+//gk:noalloc
+func (v *Verifier) traceback() {
+	a, b := v.pattern, v.ref
+	i, j := v.m, v.n
+	cur := v.dist
+	w := len(v.opBuf)
+	for i > 0 || j > 0 {
+		w--
+		if i > 0 && j > 0 {
+			// Equal bytes always give D[i-1][j-1] = D[i][j] (neighbouring
+			// cells differ by at most one), so the diagonal wins without a
+			// lookup; the path's cells are exact, lying on an alignment
+			// within the budget.
+			if a[i-1] == b[j-1] {
+				v.opBuf[w] = OpMatch
+				i, j = i-1, j-1
 				continue
 			}
-			best := inf
-			if j == 0 {
-				best = i
-			} else {
-				if rows[i-1][k] != inf {
-					cost := 1
-					if a[i-1] == b[j-1] {
-						cost = 0
-					}
-					best = rows[i-1][k] + cost
-				}
-				if k+1 < width && rows[i-1][k+1] != inf && rows[i-1][k+1]+1 < best {
-					best = rows[i-1][k+1] + 1
-				}
-				if k-1 >= 0 && rows[i][k-1] != inf && rows[i][k-1]+1 < best {
-					best = rows[i][k-1] + 1
-				}
-			}
-			rows[i][k] = best
-			if best < rowMin {
-				rowMin = best
+			if d := v.cell(i-1, j-1); d+1 == cur {
+				v.opBuf[w] = OpMismatch
+				i, j, cur = i-1, j-1, d
+				continue
 			}
 		}
-		if rowMin > maxDist {
-			return Alignment{}, false
-		}
-	}
-	endK := n - m + maxDist
-	if endK < 0 || endK >= width || rows[m][endK] > maxDist {
-		return Alignment{}, false
-	}
-
-	// Traceback from (m, n).
-	var ops []Op
-	i, k := m, endK
-	for {
-		j := i + k - maxDist
-		if i == 0 && j == 0 {
-			break
-		}
-		cur := rows[i][k]
-		switch {
-		case i > 0 && j > 0 && rows[i-1][k] != inf &&
-			((a[i-1] == b[j-1] && rows[i-1][k] == cur) ||
-				(a[i-1] != b[j-1] && rows[i-1][k]+1 == cur)):
-			if a[i-1] == b[j-1] {
-				ops = append(ops, OpMatch)
-			} else {
-				ops = append(ops, OpMismatch)
-			}
-			i--
-		case i > 0 && k+1 < width && rows[i-1][k+1] != inf && rows[i-1][k+1]+1 == cur:
+		if i > 0 {
 			// Consumed a read base without a reference base.
-			ops = append(ops, OpIns)
-			i--
-			k++
-		case j > 0 && k-1 >= 0 && rows[i][k-1] != inf && rows[i][k-1]+1 == cur:
-			ops = append(ops, OpDel)
-			k--
-		case j == 0:
-			ops = append(ops, OpIns)
-			i--
-			k++
-		default:
-			// Unreachable when the DP is consistent.
-			return Alignment{}, false
+			if up := v.cell(i-1, j); up+1 == cur {
+				v.opBuf[w] = OpIns
+				i, cur = i-1, up
+				continue
+			}
 		}
+		if j > 0 {
+			if left := v.cell(i, j-1); left+1 == cur {
+				v.opBuf[w] = OpDel
+				j, cur = j-1, left
+				continue
+			}
+		}
+		panic("align: traceback left the stored band")
 	}
-	// Reverse into read-major order.
-	for lo, hi := 0, len(ops)-1; lo < hi; lo, hi = lo+1, hi-1 {
-		ops[lo], ops[hi] = ops[hi], ops[lo]
+	v.ops = v.opBuf[w:]
+}
+
+// CIGAR renders the last accepted alignment run-length encoded, extended
+// style (=/X/I/D), into the Verifier's buffer; "*" for an empty alignment.
+// Use CIGARCompat for the classic M-style string. The bytes are overwritten
+// by the next Verify.
+//
+//gk:noalloc
+func (v *Verifier) CIGAR() []byte { return v.renderCigar(false) }
+
+// CIGARCompat renders the classic SAM CIGAR, where matches and mismatches
+// both appear as 'M'.
+//
+//gk:noalloc
+func (v *Verifier) CIGARCompat() []byte { return v.renderCigar(true) }
+
+//gk:noalloc
+func (v *Verifier) renderCigar(compat bool) []byte {
+	if !v.ok {
+		return nil
 	}
-	return Alignment{Distance: rows[m][endK], Ops: ops}, true
+	ops := v.Ops()
+	buf := v.cigar
+	if len(ops) == 0 {
+		buf[0] = '*'
+		return buf[:1]
+	}
+	w := 0
+	run, runLen := opClass(ops[0], compat), 1
+	for _, op := range ops[1:] {
+		if c := opClass(op, compat); c != run {
+			w = putRun(buf, w, runLen, run)
+			run, runLen = c, 1
+			continue
+		}
+		runLen++
+	}
+	return buf[:putRun(buf, w, runLen, run)]
+}
+
+//gk:noalloc
+func opClass(op Op, compat bool) byte {
+	if compat && (op == OpMatch || op == OpMismatch) {
+		return 'M'
+	}
+	return byte(op)
+}
+
+// putRun writes runLen in decimal followed by class at buf[w:] and returns
+// the new end. strconv.AppendInt would do, but the noalloc contract admits
+// no append and no strconv, and reserve sized buf for the worst case.
+//
+//gk:noalloc
+func putRun(buf []byte, w, runLen int, class byte) int {
+	digits := 1
+	for x := runLen; x >= 10; x /= 10 {
+		digits++
+	}
+	for k := w + digits - 1; k >= w; k-- {
+		buf[k] = byte('0' + runLen%10)
+		runLen /= 10
+	}
+	buf[w+digits] = class
+	return w + digits + 1
 }

@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/align"
 	"repro/internal/dna"
 	"repro/internal/filter"
 	"repro/internal/mapper"
@@ -56,6 +57,10 @@ type BenchReport struct {
 	Filters []BenchEntry `json:"filters"`
 	// Index covers the CSR seed index: build and lookup.
 	Index []BenchEntry `json:"index"`
+	// Verify covers the mapper's verification kernel (align.Verifier) on
+	// the kernel rows' set3 L100/e5 pairs, CIGAR rendered for every
+	// accepted pair as the mapper does with Traceback on.
+	Verify []BenchEntry `json:"verify,omitempty"`
 }
 
 // benchPairsPerSec converts a benchmark over `pairs` pairs per op into a rate.
@@ -233,6 +238,29 @@ func RunBenchJSON(dir, label string, out io.Writer) (string, error) {
 		}
 	}
 
+	// Verification: one Verifier, as one mapper worker holds, over every
+	// set3 pair ('N' pairs included: they skip the filter and go straight
+	// to verification).
+	{
+		p, err := simdata.Set("set3")
+		if err != nil {
+			return "", err
+		}
+		pairs := simdata.ToEnginePairs(simdata.Generate(p, 42, 1000))
+		var v align.Verifier
+		r := testing.Benchmark(func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				for _, pr := range pairs {
+					if _, ok := v.Verify(pr.Read, pr.Ref, 5); ok {
+						v.CIGARCompat()
+					}
+				}
+			}
+		})
+		rep.Verify = append(rep.Verify, entry("verify-L100-e5", r, len(pairs)))
+	}
+
 	// CSR index: build rate and lookup latency.
 	{
 		rng := rand.New(rand.NewSource(42))
@@ -307,9 +335,11 @@ func RunBenchJSON(dir, label string, out io.Writer) (string, error) {
 	}
 	if out != nil {
 		fmt.Fprintf(out, "wrote %s (gomaxprocs=%d benchtime=%s)\n", path, rep.GOMAXPROCS, rep.BenchTime)
-		for _, e := range rep.Kernels {
-			fmt.Fprintf(out, "  %-32s %12.0f ns/op %12.0f pairs/s %4d allocs/op\n",
-				e.Name, e.NsPerOp, e.PairsPerSec, e.AllocsPerOp)
+		for _, rows := range [][]BenchEntry{rep.Kernels, rep.Verify} {
+			for _, e := range rows {
+				fmt.Fprintf(out, "  %-32s %12.0f ns/op %12.0f pairs/s %4d allocs/op\n",
+					e.Name, e.NsPerOp, e.PairsPerSec, e.AllocsPerOp)
+			}
 		}
 		for _, e := range rep.Index {
 			fmt.Fprintf(out, "  %-32s %12.0f ns/op %4d allocs/op\n", e.Name, e.NsPerOp, e.AllocsPerOp)
@@ -356,13 +386,13 @@ func CompareBench(baseline, cur BenchReport, out io.Writer) {
 		fmt.Fprintln(out, "****************************************************************")
 	}
 	old := make(map[string]BenchEntry)
-	for _, rows := range [][]BenchEntry{baseline.Kernels, baseline.Filters, baseline.Index} {
+	for _, rows := range [][]BenchEntry{baseline.Kernels, baseline.Filters, baseline.Index, baseline.Verify} {
 		for _, e := range rows {
 			old[e.Name] = e
 		}
 	}
 	fmt.Fprintf(out, "vs baseline %s (label %q):\n", baseline.Stamp, baseline.Label)
-	for _, rows := range [][]BenchEntry{cur.Kernels, cur.Filters, cur.Index} {
+	for _, rows := range [][]BenchEntry{cur.Kernels, cur.Filters, cur.Index, cur.Verify} {
 		for _, e := range rows {
 			o, ok := old[e.Name]
 			if !ok {

@@ -318,7 +318,7 @@ func runTable4(o Options) error {
 	tb.Add("achieved DP speedup", fmt.Sprintf("%.1fx", achieved), "3.7x")
 	fmt.Fprint(o.Out, tb.String())
 	fmt.Fprintln(o.Out, "\nShape check: achieved speedup is well below theoretical — the surviving")
-	fmt.Fprintln(o.Out, "pairs are the similar ones, whose banded DP cannot terminate early.")
+	fmt.Fprintln(o.Out, "pairs are the similar ones, whose verification cannot terminate early.")
 	return nil
 }
 

@@ -5,7 +5,7 @@ package lint
 // analyzer and the runtime AllocsPerRun guards. gklint fails if the
 // annotations in the tree and this list ever differ (in either direction),
 // and the alloc tests (internal/filter/alloc_test.go,
-// internal/mapper/index_test.go) assert that the functions they exercise are
+// internal/mapper/index_test.go, internal/align/verifier_test.go) assert that the functions they exercise are
 // registered here, so the static and runtime checks cannot drift apart.
 //
 // Keys are FuncKey form: pkgpath.Func, or pkgpath.Recv.Method with the
@@ -31,6 +31,25 @@ var NoAllocRegistry = []string{
 	"repro/internal/dna.IsACGT",
 	"repro/internal/dna.WordsFor",
 	"repro/internal/dna.TryEncodeInto",
+
+	// The bit-parallel verifier's steady state: the distance pass, the
+	// bit-vector traceback and CIGAR rendering into its own buffers.
+	"repro/internal/align.myersStep",
+	"repro/internal/align.outBit",
+	"repro/internal/align.band",
+	"repro/internal/align.rowValue",
+	"repro/internal/align.blockOf",
+	"repro/internal/align.rowsThrough",
+	"repro/internal/align.Verifier.run",
+	"repro/internal/align.Verifier.loadRead",
+	"repro/internal/align.Verifier.cell",
+	"repro/internal/align.Verifier.Ops",
+	"repro/internal/align.Verifier.traceback",
+	"repro/internal/align.Verifier.CIGAR",
+	"repro/internal/align.Verifier.CIGARCompat",
+	"repro/internal/align.Verifier.renderCigar",
+	"repro/internal/align.opClass",
+	"repro/internal/align.putRun",
 
 	// CSR seed index lookup and the contig-coordinate accessors every
 	// candidate's boundary check goes through.

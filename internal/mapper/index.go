@@ -3,8 +3,8 @@
 // GateKeeper-GPU into: a k-mer hash index over the reference, pigeonhole
 // seeding (e+1 non-overlapping seeds, so any alignment with at most e edits
 // preserves one seed exactly), candidate extension, optional pre-alignment
-// filtering between seeding and verification, and banded dynamic-programming
-// verification — the expensive stage the filter protects.
+// filtering between seeding and verification, and bit-parallel (banded
+// Myers) verification — the expensive stage the filter protects.
 //
 // The reference is multi-contig (mapper.Reference): a whole-genome FASTA's
 // chromosomes live concatenated in one sequence with a contig table mapping

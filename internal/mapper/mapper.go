@@ -2,6 +2,7 @@ package mapper
 
 import (
 	"fmt"
+	"math"
 	"runtime"
 	"sort"
 	"sync"
@@ -50,7 +51,7 @@ type Config struct {
 	MaxReadsPerBatch int
 	Filter           PreFilter
 	// Traceback makes verification produce CIGAR strings for SAM output at
-	// the cost of materializing the DP band.
+	// the cost of a bit-vector traceback over each accepted pair.
 	Traceback bool
 	// BothStrands also maps the reverse complement of every read, as real
 	// short read mappers do; reverse-strand mappings carry Reverse=true.
@@ -105,7 +106,7 @@ type Stats struct {
 	FilterKernelModel  float64 // modelled device kernel seconds
 	FilterModelSeconds float64 // modelled end-to-end filter seconds
 	FilterPrepModel    float64 // modelled host encode/fill seconds
-	VerifySeconds      float64 // wall: banded-DP verification
+	VerifySeconds      float64 // wall: bit-parallel verification (align.Verifier)
 	TotalSeconds       float64
 
 	// Streaming-pipeline metrics, populated by MapStream and MapPairs only.
@@ -355,13 +356,14 @@ func (m *Mapper) workerCount(n int) int {
 // grain-sized blocks off a shared cursor (the same dynamic schedule as the
 // batch filter front end, and channel-free by design: the block index fully
 // determines each worker's writes, so indexed slices are the only shared
-// state). body must touch only its [lo, hi) slots.
-func parallelFor(workers, n, grain int, body func(lo, hi int)) {
+// state). body must touch only its [lo, hi) slots; w, in [0, workers), names
+// the calling worker so body can use per-worker scratch.
+func parallelFor(workers, n, grain int, body func(w, lo, hi int)) {
 	if n == 0 {
 		return
 	}
 	if workers == 1 || n <= grain {
-		body(0, n)
+		body(0, 0, n)
 		return
 	}
 	var cursor atomic.Int64
@@ -379,7 +381,7 @@ func parallelFor(workers, n, grain int, body func(lo, hi int)) {
 				if hi > n {
 					hi = n
 				}
-				body(lo, hi)
+				body(w, lo, hi)
 			}
 		}()
 	}
@@ -408,6 +410,8 @@ func (m *Mapper) MapReads(reads [][]byte, e int) ([]Mapping, Stats, error) {
 	totalStart := time.Now()
 	L := m.cfg.ReadLen
 	ref := m.idx.seq
+	// One verifier per pool worker, reused across batches.
+	verifiers := make([]align.Verifier, m.workerCount(math.MaxInt))
 
 	for lo := 0; lo < len(reads); lo += m.cfg.MaxReadsPerBatch {
 		hi := lo + m.cfg.MaxReadsPerBatch
@@ -441,7 +445,7 @@ func (m *Mapper) MapReads(reads [][]byte, e int) ([]Mapping, Stats, error) {
 			pos   int64
 		}
 		perQuery := make([][]int64, len(batch))
-		parallelFor(m.workerCount(len(batch)), len(batch), 8, func(lo, hi int) {
+		parallelFor(m.workerCount(len(batch)), len(batch), 8, func(_, lo, hi int) {
 			for qi := lo; qi < hi; qi++ {
 				perQuery[qi] = m.candidates(batch[qi], e)
 			}
@@ -499,33 +503,32 @@ func (m *Mapper) MapReads(reads [][]byte, e int) ([]Mapping, Stats, error) {
 			}
 		}
 
-		// Verification: banded edit distance for surviving pairs, fanned out
-		// across the worker pool into per-candidate slots; the serial pass
-		// below tallies stats and appends surviving mappings in candidate
-		// order, so the mapping list equals the serial walk's before the
-		// final canonical sort.
+		// Verification: the bit-parallel verifier over surviving pairs,
+		// fanned out across the worker pool into per-candidate slots; the
+		// serial pass below tallies stats and appends surviving mappings in
+		// candidate order, so the mapping list equals the serial walk's
+		// before the final canonical sort.
 		verifyStart := time.Now()
 		slots := make([]Mapping, len(cands))
 		kept := make([]bool, len(cands))
-		parallelFor(m.workerCount(len(cands)), len(cands), 32, func(lo, hi int) {
+		parallelFor(m.workerCount(len(cands)), len(cands), 32, func(w, lo, hi int) {
+			v := &verifiers[w]
 			for i := lo; i < hi; i++ {
 				if !verdicts[i].Accept {
+					continue
+				}
+				d, ok := v.Verify(pairs[i].Read, pairs[i].Ref, e)
+				if !ok {
 					continue
 				}
 				c := cands[i]
 				q := queries[c.query]
 				ci, rel := m.ref.Locate(int(c.pos))
+				slots[i] = Mapping{ReadID: q.readID, Contig: ci, Pos: rel, Distance: d, Reverse: q.reverse}
 				if m.cfg.Traceback {
-					if al, ok := align.Align(pairs[i].Read, pairs[i].Ref, e); ok {
-						slots[i] = Mapping{ReadID: q.readID, Contig: ci, Pos: rel,
-							Distance: al.Distance, CIGAR: al.CIGARCompat(), Reverse: q.reverse}
-						kept[i] = true
-					}
-				} else if d, ok := align.DistanceBanded(pairs[i].Read, pairs[i].Ref, e); ok {
-					slots[i] = Mapping{ReadID: q.readID, Contig: ci, Pos: rel,
-						Distance: d, Reverse: q.reverse}
-					kept[i] = true
+					slots[i].CIGAR = string(v.CIGARCompat())
 				}
+				kept[i] = true
 			}
 		})
 		for i := range cands {

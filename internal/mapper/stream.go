@@ -82,7 +82,7 @@ func (m *metaQueue) pop() candMeta {
 	return c
 }
 
-// verifyJob is one accepted candidate awaiting banded-DP verification.
+// verifyJob is one accepted candidate awaiting verification.
 type verifyJob struct {
 	q         streamQuery
 	pos       int64
@@ -93,7 +93,7 @@ type verifyJob struct {
 // MapPairStream: a pool of seeding workers consumes oriented queries from
 // feed, candidates flow through the configured filter's streaming path, and
 // a verification pool consumes accepted candidates concurrently, so seeding,
-// pre-alignment filtering, and banded-DP verification overlap instead of
+// pre-alignment filtering, and bit-parallel verification overlap instead of
 // running as synchronized phases.
 //
 // feed runs in its own goroutine and must send every query with a select on
@@ -165,8 +165,9 @@ func (m *Mapper) mapQueryStream(e int, feed func(ctx context.Context, out chan<-
 	var timeMu sync.Mutex
 	var seedBusy, verifyBusy, inlineFilterBusy float64
 
-	// Verification pool: accepted candidates to banded DP, mappings into
-	// per-worker slices merged (and sorted) at the end.
+	// Verification pool: accepted candidates to the bit-parallel verifier
+	// (one per worker), mappings into per-worker slices merged (and sorted)
+	// at the end.
 	verifyJobs := make(chan verifyJob, 4*workers)
 	perWorker := make([][]Mapping, workers)
 	var verifyWg sync.WaitGroup
@@ -176,6 +177,7 @@ func (m *Mapper) mapQueryStream(e int, feed func(ctx context.Context, out chan<-
 			defer verifyWg.Done()
 			var local []Mapping
 			var busy float64
+			var v align.Verifier
 			for j := range verifyJobs {
 				t0 := time.Now()
 				verifCount.Add(1)
@@ -183,15 +185,13 @@ func (m *Mapper) mapQueryStream(e int, feed func(ctx context.Context, out chan<-
 					undefCount.Add(1)
 				}
 				window := ref[j.pos : int(j.pos)+L]
-				ci, rel := m.ref.Locate(int(j.pos))
-				if m.cfg.Traceback {
-					if al, ok := align.Align(j.q.seq, window, e); ok {
-						local = append(local, Mapping{ReadID: j.q.readID, Contig: ci, Pos: rel,
-							Distance: al.Distance, CIGAR: al.CIGARCompat(), Reverse: j.q.reverse})
+				if d, ok := v.Verify(j.q.seq, window, e); ok {
+					ci, rel := m.ref.Locate(int(j.pos))
+					mp := Mapping{ReadID: j.q.readID, Contig: ci, Pos: rel, Distance: d, Reverse: j.q.reverse}
+					if m.cfg.Traceback {
+						mp.CIGAR = string(v.CIGARCompat())
 					}
-				} else if d, ok := align.DistanceBanded(j.q.seq, window, e); ok {
-					local = append(local, Mapping{ReadID: j.q.readID, Contig: ci, Pos: rel,
-						Distance: d, Reverse: j.q.reverse})
+					local = append(local, mp)
 				}
 				busy += time.Since(t0).Seconds()
 			}
