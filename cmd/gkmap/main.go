@@ -15,13 +15,13 @@
 // incrementally (dna.FASTQScanner) and validates a uniform read length, R2
 // included.
 //
-// With -stream, reads map through the channel-fed streaming pipeline
-// (Mapper.MapReadStream / MapPairStream) as they are decoded — the read set
-// is never materialized unless -sam needs the sequences back for output —
-// and the pipeline-overlap accounting is reported. With -paired, mate pairs
-// (synthesized FR pairs under -sim, or -reads-file plus -reads2) map
-// through the streaming pipeline and concordant pairs are resolved against
-// the insert window; when no -insert-min/-max is given the window is
+// Every mode maps through the same batch core: reads are seeded, filtered
+// and verified -batch reads at a time. With -stream, reads reach it over a
+// channel (Mapper.MapReadStream / MapPairStream) as they are decoded — the
+// read set is never materialized unless -sam needs the sequences back for
+// output. With -paired, mate pairs (synthesized FR pairs under -sim, or
+// -reads-file plus -reads2) map together and concordant pairs are resolved
+// against the insert window; when no -insert-min/-max is given the window is
 // estimated from a sample of confidently mapped pairs; giving just one of
 // -insert-min/-insert-max pins that bound and estimates the other. -sam
 // writes single-end records, or standard paired records (flags,
@@ -43,9 +43,9 @@
 // -seedstep bookkeeping can drift between indexing and mapping.
 //
 // -fault-rate/-fault-seed/-fault-die inject deterministic faults into the
-// simulated GPUs (gpu prefilter only): the streaming engine retries,
-// quarantines dying devices and redispatches their work, so the output is
-// bit-identical while any device survives; with none left the run exits
+// simulated GPUs (gpu prefilter only): the engine retries, quarantines
+// dying devices and re-splits their work over the survivors, so the output
+// is bit-identical while any device survives; with none left the run exits
 // non-zero with the classified fault taxonomy. -sam always writes through a
 // temp file in the destination directory renamed into place on success, so
 // no failure mode leaves a truncated .sam behind.
@@ -80,14 +80,14 @@ func main() {
 		preFilter = flag.String("prefilter", "gpu", "pre-alignment filter: gpu, cpu, or none")
 		encoding  = flag.String("encoding", "device", "encoding actor for the GPU engine: device or host")
 		nGPUs     = flag.Int("gpus", 1, "simulated GPU count")
-		batch     = flag.Int("batch", 100_000, "max reads per filtering batch")
+		batch     = flag.Int("batch", mapper.DefaultMaxReadsPerBatch, "reads per mapping batch")
 		samOut    = flag.String("sam", "", "write mappings as SAM to this file (paired records under -paired)")
 		strands   = flag.Bool("both-strands", false, "also map reverse complements")
 		seed      = flag.Int64("seed", 42, "simulation seed")
-		stream    = flag.Bool("stream", false, "map through the channel-fed streaming pipeline")
-		paired    = flag.Bool("paired", false, "paired-end mapping through the streaming pipeline")
+		stream    = flag.Bool("stream", false, "feed reads to the mapper over a channel as they are decoded")
+		paired    = flag.Bool("paired", false, "paired-end mapping")
 		reads2    = flag.String("reads2", "", "mate FASTQ for -paired (when not -sim)")
-		workers   = flag.Int("workers", 0, "streaming worker pools size (0 = GOMAXPROCS)")
+		workers   = flag.Int("workers", 0, "seeding and verification fan-out width (0 = GOMAXPROCS)")
 		insMean   = flag.Int("insert-mean", 400, "simulated mean fragment length (-paired -sim only; never a window default)")
 		insStd    = flag.Int("insert-std", 40, "simulated fragment length std dev (-paired -sim only; never a window default)")
 		insMin    = flag.Int("insert-min", 0, "insert window minimum (0 = estimate this bound from the data)")
@@ -205,10 +205,10 @@ func main() {
 		}
 		defer eng.Close()
 		// Fault plans attach after the engine's own buffer allocation so a
-		// chaos run exercises the streaming retry/redispatch machinery, not
-		// startup. Streams survive (bit-identically) while a device remains;
-		// otherwise the run exits non-zero with the classified taxonomy
-		// error and -sam leaves no partial file behind.
+		// chaos run exercises the retry/re-split machinery, not startup.
+		// Runs survive (bit-identically) while a device remains; otherwise
+		// the run exits non-zero with the classified taxonomy error and -sam
+		// leaves no partial file behind.
 		injectFaults(cctx, *faultRate, *faultSeed, *seed, *faultDie)
 		cfg.Filter = eng
 	case "cpu":
@@ -237,7 +237,7 @@ func main() {
 
 	// -sam needs the sequences (and names) back at output time, so the
 	// channel-fed paths retain them while feeding; without it nothing is
-	// kept and the pipeline's peak memory is its in-flight work.
+	// kept and the mapper holds only the batch it is mapping.
 	retain := *samOut != ""
 	// The insert window passes straight through: a zero bound means
 	// "estimate this bound from confidently mapped pairs" (both zero
@@ -366,10 +366,6 @@ func main() {
 	fmt.Printf("filter kernel model: %.4fs\n", st.FilterKernelModel)
 	fmt.Printf("verification:        %.3fs\n", st.VerifySeconds)
 	fmt.Printf("total:               %.3fs\n", st.TotalSeconds)
-	if st.PipelineWallSeconds > 0 {
-		fmt.Printf("pipeline wall:       %.3fs (stage seconds %.3fs, overlap hidden %.3fs)\n",
-			st.PipelineWallSeconds, st.StageSeconds(), st.OverlapSeconds())
-	}
 	if *paired {
 		var insSum int64
 		for _, pm := range resolved {

@@ -122,7 +122,8 @@ func TestInjectFaultsWiring(t *testing.T) {
 func TestFaultedEngineMatchesCleanDecisions(t *testing.T) {
 	// The CLI-level identity claim behind -fault-rate/-fault-die: the engine
 	// configuration gkmap builds, with plans attached exactly as injectFaults
-	// attaches them, streams bit-identical decisions while a device survives.
+	// attaches them, makes bit-identical decisions while a device survives,
+	// on the pair stream and on the index-named batch path alike.
 	mk := func() (*gkgpu.Engine, *cuda.Context) {
 		cctx := cuda.NewUniformContext(2, cuda.GTX1080Ti())
 		eng, err := gkgpu.NewEngine(gkgpu.Config{
@@ -182,5 +183,52 @@ func TestFaultedEngineMatchesCleanDecisions(t *testing.T) {
 	}
 	if s := faulty.Stats(); s.DevicesLost != 1 {
 		t.Fatalf("DevicesLost = %d, want 1", s.DevicesLost)
+	}
+
+	// The index-named batch path gkmap maps through: one FilterCandidates
+	// call per mapping batch, so device 0 dies partway through the run.
+	var refSeq []byte
+	for _, p := range pairs {
+		refSeq = append(refSeq, p.Ref...)
+	}
+	filterBatches := func(eng *gkgpu.Engine) []gkgpu.Result {
+		if err := eng.SetReference(refSeq); err != nil {
+			t.Fatal(err)
+		}
+		var res []gkgpu.Result
+		const batch = 250
+		for lo := 0; lo < len(pairs); lo += batch {
+			reads := make([][]byte, 0, batch)
+			var cands []gkgpu.Candidate
+			for i := lo; i < lo+batch; i++ {
+				id := int64(len(reads))
+				reads = append(reads, pairs[i].Read)
+				cands = append(cands,
+					gkgpu.Candidate{ReadID: id, Pos: int64(i * 100)},
+					gkgpu.Candidate{ReadID: id, Pos: int64((i * 37 % len(pairs)) * 100)})
+			}
+			r, err := eng.FilterCandidates(reads, cands, 5)
+			if err != nil {
+				t.Fatalf("faulted FilterCandidates failed with a survivor: %v", err)
+			}
+			res = append(res, r...)
+		}
+		return res
+	}
+	clean, _ = mk()
+	want = filterBatches(clean)
+	faulty, cctx = mk()
+	injectFaults(cctx, 0.05, 0, 42, 3)
+	got = filterBatches(faulty)
+	if len(got) != len(want) {
+		t.Fatalf("faulted FilterCandidates returned %d results, clean %d", len(got), len(want))
+	}
+	for i := range got {
+		if got[i] != want[i] {
+			t.Fatalf("candidate decision %d drifted under faults: %+v vs %+v", i, got[i], want[i])
+		}
+	}
+	if s := faulty.Stats(); s.DevicesLost != 1 {
+		t.Fatalf("FilterCandidates DevicesLost = %d, want 1", s.DevicesLost)
 	}
 }

@@ -18,7 +18,11 @@
 //     results flow out in input order, and each device overlaps the host
 //     encoding of one batch with the kernel execution of the previous one.
 //   - Mapper: an mrFAST-style seed-and-extend read mapper with the engine as
-//     its pre-alignment stage, reproducing the whole-genome evaluation.
+//     its pre-alignment stage, reproducing the whole-genome evaluation. One
+//     batch core seeds a batch of reads, filters all their candidates in
+//     one engine call and verifies the survivors; reads arrive as a slice
+//     (Mapper.MapReads, MapPairs) or over a channel (MapReadStream,
+//     MapPairStream).
 //
 // The exported names are aliases of the implementation packages under
 // internal/, so downstream users get the full concrete types through this

@@ -1,8 +1,8 @@
 package gkgpu
 
 import (
+	"context"
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"sort"
 	"sync"
@@ -448,30 +448,13 @@ func (e *Engine) liveRoundCap() int {
 	return cap
 }
 
-// classifyRoundErrs resolves a one-shot round's per-device errors: the first
-// failure is wrapped in the taxonomy, and a lost device is quarantined so
-// later calls re-weight onto the survivors. The one-shot paths do not retry —
-// the round already failed and the caller holds its inputs; FilterStream is
-// the fault-tolerant path.
-func (e *Engine) classifyRoundErrs(errs []error) error {
-	for di, err := range errs {
-		if err == nil {
-			continue
-		}
-		if errors.Is(err, cuda.ErrDeviceLost) {
-			e.states[di].down.Store(true)
-		}
-		return classifyFault(e.states[di].dev.ID, -1, 1, err)
-	}
-	return nil
-}
-
 // FilterPairs filters every pair at threshold e, batching across the
 // context's devices as Section 3.1 describes, with the share of each device
 // weighted by its modelled filtration rate. Results are returned in input
 // order. The one-shot timing model matches the paper's measured pipeline
 // (encode, transfer and kernel charged sequentially per round); FilterStream
 // models and exercises the overlapped double-buffered pipeline instead.
+// Device faults are handled as filterRounds describes.
 func (e *Engine) FilterPairs(pairs []Pair, errThreshold int) ([]Result, error) {
 	if errThreshold < 0 || errThreshold > e.cfg.MaxE {
 		return nil, fmt.Errorf("gkgpu: threshold %d outside compiled [0,%d]", errThreshold, e.cfg.MaxE)
@@ -482,54 +465,119 @@ func (e *Engine) FilterPairs(pairs []Pair, errThreshold int) ([]Result, error) {
 				i, len(p.Read), len(p.Ref), e.cfg.ReadLen)
 		}
 	}
+	results := make([]Result, len(pairs))
+	err := e.filterRounds(results, e.workload(0, errThreshold), func(st *deviceState, _, lo, hi int) error {
+		return e.runBatch(st, st.sets[0], pairs[lo:hi], errThreshold, results[lo:hi])
+	})
+	if err != nil {
+		return nil, err
+	}
+	return results, nil
+}
+
+// span is a half-open range [lo, hi) of a one-shot call's items.
+type span struct{ lo, hi int }
+
+// filterRounds is the round loop behind FilterPairs and FilterCandidates:
+// it fills results (one slot per item) in synchronized multi-device rounds,
+// each device running share [lo, hi) of the items through run. A round
+// takes at most the live devices' summed batch capacity, split by
+// roundShares; w is the cost-model workload, whose pair count is set per
+// round.
+//
+// Under Config.Fault a device's share retries transient faults with the
+// stream's policy (launchWithRetry), so run must be repeatable. A device
+// that is lost or exhausts its attempts is quarantined and its unfinished
+// share is re-split over the survivors within the same call, into the same
+// result slots: decisions and order are identical to a fault-free call,
+// and only the modelled clocks, Batches and the Retries/Redispatches/
+// DevicesLost counters show what happened. Only when no device survives
+// does the call fail, with the first classified DeviceFault; the fault
+// counters are still committed, the decision counters and device telemetry
+// are not.
+func (e *Engine) filterRounds(results []Result, w cuda.Workload, run func(st *deviceState, di, lo, hi int) error) error {
 	// Rounds run under runMu by design: the devices are the contended
 	// resource, and overlapping calls would interleave per-device batches.
 	//gk:allow lockcheck: runMu intentionally serializes whole filtering rounds, including each round's wg.Wait
 	e.runMu.Lock()
 	defer e.runMu.Unlock()
 	if len(e.states) == 0 {
-		return nil, fmt.Errorf("gkgpu: engine is closed")
+		return fmt.Errorf("gkgpu: engine is closed")
 	}
-
-	results := make([]Result, len(pairs))
 	wallStart := time.Now()
-	roundCap := e.liveRoundCap()
-	if roundCap == 0 && len(pairs) > 0 {
-		return nil, errAllQuarantined()
-	}
 
 	// Round stats and device telemetry accumulate locally and are committed
-	// only after every per-device error has been checked, so a failed round
-	// leaves the engine's counters untouched.
+	// only once every item has a decision, so a failed call leaves the
+	// decision counters untouched.
 	var acc Stats
 	var records []kernelRecord
-
-	for off := 0; off < len(pairs); off += roundCap {
-		end := off + roundCap
-		if end > len(pairs) {
-			end = len(pairs)
+	var fault error
+	type outcome struct {
+		lo, hi      int
+		retries     int64
+		quarantined bool
+		err         error
+	}
+	outs := make([]outcome, len(e.states))
+	var todo []span
+	if len(results) > 0 {
+		todo = append(todo, span{0, len(results)})
+	}
+	for len(todo) > 0 {
+		sp := todo[0]
+		todo = todo[1:]
+		roundCap := e.liveRoundCap()
+		if roundCap == 0 {
+			if fault == nil {
+				fault = errAllQuarantined()
+			}
+			e.commitStats(Stats{Retries: acc.Retries, Redispatches: acc.Redispatches, DevicesLost: acc.DevicesLost})
+			return fault
 		}
-		round := pairs[off:end]
-		w := e.workload(len(round), errThreshold)
-		shares := e.roundShares(len(round), w)
+		if sp.hi-sp.lo > roundCap {
+			todo = append(todo, span{sp.lo + roundCap, sp.hi})
+			sp.hi = sp.lo + roundCap
+		}
+		w.Pairs = sp.hi - sp.lo
+		shares := e.roundShares(w.Pairs, w)
 		var wg sync.WaitGroup
-		errs := make([]error, len(e.states))
-		lo := 0
+		lo := sp.lo
 		for di, st := range e.states {
+			outs[di] = outcome{}
 			if shares[di] == 0 {
 				continue
 			}
-			hi := lo + shares[di]
+			outs[di].lo, outs[di].hi = lo, lo+shares[di]
+			lo += shares[di]
 			wg.Add(1)
-			go func(di int, st *deviceState, chunk []Pair, out []Result) {
+			go func(di int, st *deviceState, o *outcome) {
 				defer wg.Done()
-				errs[di] = e.runBatch(st, st.sets[0], chunk, errThreshold, out)
-			}(di, st, round[lo:hi], results[off+lo:off+hi])
-			lo = hi
+				// The one-shot signatures carry no context: a round is not
+				// cancellable, so only the fault policy ends its retries.
+				o.retries, o.quarantined, o.err = launchWithRetry(e, context.TODO(), st, -1, func() error {
+					return run(st, di, o.lo, o.hi)
+				})
+			}(di, st, &outs[di])
 		}
 		wg.Wait()
-		if err := e.classifyRoundErrs(errs); err != nil {
-			return nil, err
+		for di, o := range outs {
+			acc.Retries += o.retries
+			if o.err == nil {
+				continue
+			}
+			if o.quarantined {
+				acc.DevicesLost++
+			}
+			if fault == nil {
+				fault = o.err
+			}
+			// Redispatch: the failed share's items keep their result slots,
+			// so a later round on the survivors fills them in place.
+			if e.liveStates() > 0 {
+				acc.Redispatches++
+			}
+			todo = append(todo, span{o.lo, o.hi})
+			shares[di] = 0
 		}
 		rc := e.modelRound(shares, w)
 		acc.KernelSeconds += rc.kernel
@@ -546,7 +594,7 @@ func (e *Engine) FilterPairs(pairs []Pair, errThreshold int) ([]Result, error) {
 		r.dev.RecordKernel(r.kt, r.util)
 	}
 	e.commitStats(acc)
-	return results, nil
+	return nil
 }
 
 // runBatch executes one device's share of a round on the given buffer set:

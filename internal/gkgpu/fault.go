@@ -11,9 +11,10 @@ import (
 // Sentinel error taxonomy of the fault-tolerant engine. Every device-layer
 // failure the engine surfaces is wrapped in a DeviceFault carrying one of
 // these kinds plus device and batch context, so callers can branch with
-// errors.Is and still read the cause chain. A terminally failed stream wraps
-// its first classified fault in ErrStreamAborted; errors.Is then matches both
-// the abort and the underlying kind.
+// errors.Is and still read the cause chain. A terminally failed stream
+// (FilterStream, or a mapper's channel-fed MapReadStream/MapPairStream)
+// wraps its first classified fault in ErrStreamAborted; errors.Is then
+// matches both the abort and the underlying kind.
 var (
 	// ErrLaunch is a kernel launch failure (including async faults the
 	// launch surfaced as the batch's synchronization point).
@@ -26,7 +27,9 @@ var (
 	// the device and redispatches its work to survivors.
 	ErrDeviceLost = errors.New("gkgpu: device lost")
 	// ErrStreamAborted marks a stream that terminated before answering every
-	// input; the wrapped cause is the first classified fault.
+	// input: FilterStream, or the mapper's channel-fed entry points, which
+	// wrap the batch filter's terminal fault in it. The wrapped cause is the
+	// first classified fault.
 	ErrStreamAborted = errors.New("gkgpu: stream aborted")
 )
 
@@ -81,13 +84,14 @@ func errAllQuarantined() error {
 	return fmt.Errorf("%w: every device is quarantined", ErrDeviceLost)
 }
 
-// FaultPolicy tunes how the streaming engine reacts to device failures.
-// The zero value takes the defaults below.
+// FaultPolicy tunes how the engine reacts to device failures, per stream
+// batch on FilterStream and per device share of a one-shot round. The zero
+// value takes the defaults below.
 type FaultPolicy struct {
-	// MaxAttempts is how many times one batch is tried on one device before
-	// the device is quarantined for repeated failures. ErrDeviceLost
-	// quarantines immediately regardless. Minimum (and thus default-applied
-	// floor) is 1 — a single attempt, no retry.
+	// MaxAttempts is how many times one batch (or round share) is tried on
+	// one device before the device is quarantined for repeated failures.
+	// ErrDeviceLost quarantines immediately regardless. Minimum (and thus
+	// default-applied floor) is 1 — a single attempt, no retry.
 	MaxAttempts int
 	// Backoff is the wait before the first retry; it doubles per retry up
 	// to MaxBackoff. The wait always carries a ctx.Done arm, so a deadline

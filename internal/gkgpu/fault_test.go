@@ -298,23 +298,33 @@ func TestFilterPairsClassifiesAndQuarantines(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	// A death mid-call re-splits the dead device's share over the survivor:
+	// the call completes with identical decisions.
 	ctx.Device(0).InjectFaults(cuda.NewFaultPlan(1).DieAtLaunch(1))
-	if _, err := eng.FilterPairs(pairs, 5); !errors.Is(err, ErrDeviceLost) {
-		t.Fatalf("one-shot death not classified: %v", err)
+	got, err := eng.FilterPairs(pairs, 5)
+	if err != nil {
+		t.Fatalf("death with a survivor failed the call: %v", err)
 	}
+	requireIdentical(t, want, got, "mid-call death FilterPairs")
 	if q := eng.QuarantinedDevices(); len(q) != 1 || q[0] != 0 {
 		t.Fatalf("QuarantinedDevices = %v, want [0]", q)
 	}
+	if s := eng.Stats(); s.DevicesLost != 1 || s.Redispatches != 1 {
+		t.Fatalf("DevicesLost/Redispatches = %d/%d, want 1/1", s.DevicesLost, s.Redispatches)
+	}
 	// The next call re-weights onto the survivor and succeeds identically.
-	got, err := eng.FilterPairs(pairs, 5)
+	got, err = eng.FilterPairs(pairs, 5)
 	if err != nil {
 		t.Fatalf("post-quarantine FilterPairs: %v", err)
 	}
 	requireIdentical(t, want, got, "post-quarantine FilterPairs")
 
+	// With no survivor the call fails with the classified fault.
 	ctx.Device(1).InjectFaults(cuda.NewFaultPlan(2).Kill())
-	if _, err := eng.FilterPairs(pairs, 5); !errors.Is(err, ErrDeviceLost) {
-		t.Fatalf("second death not classified: %v", err)
+	_, err = eng.FilterPairs(pairs, 5)
+	var df *DeviceFault
+	if !errors.Is(err, ErrDeviceLost) || !errors.As(err, &df) || df.Device != 1 {
+		t.Fatalf("last death not classified as device 1's DeviceFault: %v", err)
 	}
 	if _, err := eng.FilterPairs(pairs, 5); !errors.Is(err, ErrDeviceLost) {
 		t.Fatalf("all-quarantined FilterPairs: %v", err)
@@ -344,16 +354,19 @@ func TestSetReferenceAllocFaultClassified(t *testing.T) {
 	}
 }
 
-func TestCandidateStreamSurvivesDeviceDeath(t *testing.T) {
-	// The fault tolerance is generic over the stream type: the index-named
-	// candidate stream redispatches too.
+func TestFilterCandidatesSurvivesDeviceDeath(t *testing.T) {
+	// The batch path keeps the stream's fault contract: transient launch
+	// faults retry in place, and a device dying mid-call (in its second
+	// round) has its share re-split over the survivor within the same call,
+	// into the same result slots.
 	rng := rand.New(rand.NewSource(78))
 	refSeq := dna.RandomSeq(rng, 8192)
+	refSeq[4000] = 'N'
 
 	build := func(pol FaultPolicy) (*Engine, *cuda.Context) {
 		ctx := cuda.NewUniformContext(2, cuda.GTX1080Ti())
 		eng, err := NewEngine(Config{ReadLen: 100, MaxE: 5, Encoding: EncodeOnHost,
-			MaxBatchPairs: 256, StreamBatchPairs: 32, Fault: pol}, ctx)
+			MaxBatchPairs: 256, Fault: pol}, ctx)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -363,44 +376,51 @@ func TestCandidateStreamSurvivesDeviceDeath(t *testing.T) {
 		}
 		return eng, ctx
 	}
-	cands := make([]StreamCandidate, 800)
-	for i := range cands {
+	var reads [][]byte
+	var cands []Candidate
+	for i := 0; i < 400; i++ {
 		pos := rng.Intn(len(refSeq) - 100)
-		cands[i] = StreamCandidate{Read: refSeq[pos : pos+100], Pos: int64(pos)}
-	}
-	run := func(eng *Engine) []Result {
-		in := make(chan StreamCandidate)
-		out, err := eng.FilterCandidateStream(context.Background(), in, 5)
-		if err != nil {
-			t.Fatal(err)
+		reads = append(reads, dna.MutateSubstitutions(rng, refSeq[pos:pos+100], rng.Intn(10)))
+		for _, p := range []int{pos, rng.Intn(len(refSeq) - 100)} {
+			cands = append(cands, Candidate{ReadID: int64(i), Pos: int64(p)})
 		}
-		go func() {
-			for _, c := range cands {
-				in <- c
-			}
-			close(in)
-		}()
-		var res []Result
-		for r := range out {
-			res = append(res, r)
-		}
-		return res
 	}
 
 	clean, _ := build(FaultPolicy{})
-	want := run(clean)
-	if err := clean.StreamErr(); err != nil {
+	want, err := clean.FilterCandidates(reads, cands, 5)
+	if err != nil {
 		t.Fatal(err)
 	}
 
 	eng, cctx := build(FaultPolicy{Backoff: 20 * time.Microsecond})
 	cctx.Device(0).InjectFaults(cuda.NewFaultPlan(4).DieAtLaunch(2))
-	got := run(eng)
-	if err := eng.StreamErr(); err != nil {
-		t.Fatalf("candidate stream death with survivor: %v", err)
+	cctx.Device(1).InjectFaults(cuda.NewFaultPlan(5).FailNth(cuda.OpLaunch, 1).FailNth(cuda.OpLaunch, 3))
+	got, err := eng.FilterCandidates(reads, cands, 5)
+	if err != nil {
+		t.Fatalf("device death with a survivor failed the call: %v", err)
 	}
-	requireIdentical(t, want, got, "candidate stream")
-	if s := eng.Stats(); s.DevicesLost != 1 {
+	requireIdentical(t, want, got, "faulted FilterCandidates")
+	s := eng.Stats()
+	if s.Retries == 0 {
+		t.Fatal("transient faults recovered without counting retries")
+	}
+	if s.DevicesLost != 1 {
 		t.Fatalf("DevicesLost = %d, want 1", s.DevicesLost)
 	}
+	if s.Redispatches == 0 {
+		t.Fatal("device died mid-call but nothing was re-split")
+	}
+	if q := eng.QuarantinedDevices(); len(q) != 1 || q[0] != 0 {
+		t.Fatalf("QuarantinedDevices = %v, want [0]", q)
+	}
+	if d := decisionsOf(s); d != decisionsOf(clean.Stats()) {
+		t.Fatalf("decision stats diverged: %+v vs %+v", d, decisionsOf(clean.Stats()))
+	}
+
+	// The next call runs on the survivor alone and still matches.
+	again, err := eng.FilterCandidates(reads, cands, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireIdentical(t, want, again, "post-quarantine FilterCandidates")
 }

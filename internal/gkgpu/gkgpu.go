@@ -26,13 +26,14 @@
 // between the two paths; only the modelled timing differs, because the
 // streaming pipeline hides host work behind kernel execution.
 //
-// Both execution styles exist for the index-named mrFAST integration too:
-// Engine.FilterCandidates is the one-shot path over (read, location)
-// candidates against the unified-memory reference loaded by SetReference,
-// and Engine.FilterCandidateStream is its streaming counterpart — the same
-// double-buffered per-device pipeline, with reads packed into the buffer
-// sets on the host and reference segments extracted by the kernel from the
-// device-resident encoded reference.
+// The index-named mrFAST integration is one-shot: Engine.FilterCandidates
+// filters (read, location) candidates against the unified-memory reference
+// loaded by SetReference, with each read encoded once and reference
+// segments extracted by the kernel from the device-resident encoded
+// reference. It shares FilterPairs' round loop, so both one-shot paths and
+// the stream keep one fault contract: transient faults retry, a lost
+// device is quarantined and its work moves to the survivors with identical
+// decisions, and only losing every device fails the call.
 package gkgpu
 
 import (
@@ -117,8 +118,9 @@ type Config struct {
 	// smallest per-device batch capacity are clamped to it.
 	StreamBatchPairs int
 
-	// Fault tunes the streaming engine's retry/quarantine reaction to device
-	// failures; the zero value takes the documented defaults.
+	// Fault tunes the engine's retry/quarantine reaction to device failures,
+	// on FilterStream and on the one-shot FilterPairs/FilterCandidates
+	// rounds alike; the zero value takes the documented defaults.
 	Fault FaultPolicy
 }
 

@@ -1,12 +1,10 @@
 package gkgpu
 
 import (
-	"context"
 	"encoding/binary"
 	"fmt"
 	"sort"
 	"sync"
-	"time"
 
 	"repro/internal/bitvec"
 	"repro/internal/cuda"
@@ -148,7 +146,9 @@ func (r *reference) windowHasN(start int64, n int) bool {
 // reference. Each distinct read is encoded and copied to the device once,
 // however many candidate locations it has; the kernel extracts each
 // reference segment from the encoded reference by index. Results are
-// returned in candidate order.
+// returned in candidate order. Device faults are handled as FilterPairs
+// handles them: retried, re-split over surviving devices, and fatal only
+// when no device survives.
 func (e *Engine) FilterCandidates(reads [][]byte, cands []Candidate, errThreshold int) ([]Result, error) {
 	if e.ref == nil {
 		return nil, fmt.Errorf("gkgpu: FilterCandidates before SetReference")
@@ -171,14 +171,6 @@ func (e *Engine) FilterCandidates(reads [][]byte, cands []Candidate, errThreshol
 				i, c.Pos, int(c.Pos)+L, e.ref.length)
 		}
 	}
-	// As in FilterPairs, rounds run under runMu by design.
-	//gk:allow lockcheck: runMu intentionally serializes whole filtering rounds, including each round's wg.Wait
-	e.runMu.Lock()
-	defer e.runMu.Unlock()
-	if len(e.states) == 0 {
-		return nil, fmt.Errorf("gkgpu: engine is closed")
-	}
-	wallStart := time.Now()
 
 	// Encode every read once ("it is sufficient to copy a single read only
 	// once to GPU memory for its multiple candidate reference segments").
@@ -186,219 +178,22 @@ func (e *Engine) FilterCandidates(reads [][]byte, cands []Candidate, errThreshol
 	readWords := make([]uint64, len(reads)*encWords)
 	readHasN := make([]bool, len(reads))
 	for i, r := range reads {
-		if dna.HasN(r) {
-			readHasN[i] = true
-			continue
-		}
-		if err := dna.EncodeInto(readWords[i*encWords:(i+1)*encWords], r); err != nil {
+		if dna.TryEncodeInto(readWords[i*encWords:(i+1)*encWords], r) >= 0 {
 			readHasN[i] = true
 		}
 	}
 
+	// Timing model: the index path ships encoded reads only (the reference
+	// is already device-resident), i.e. the host-encoded transfer profile.
+	w := cuda.Workload{ReadLen: L, E: errThreshold, DeviceEncoded: false}
 	results := make([]Result, len(cands))
-	roundCap := e.liveRoundCap()
-	if roundCap == 0 && len(cands) > 0 {
-		return nil, errAllQuarantined()
+	err := e.filterRounds(results, w, func(st *deviceState, di, lo, hi int) error {
+		return e.runCandidateBatch(st, di, cands[lo:hi], readWords, readHasN, errThreshold, results[lo:hi])
+	})
+	if err != nil {
+		return nil, err
 	}
-
-	// As in FilterPairs, round stats and device telemetry accumulate locally
-	// and commit only after the per-device error check.
-	var acc Stats
-	var records []kernelRecord
-
-	for off := 0; off < len(cands); off += roundCap {
-		end := off + roundCap
-		if end > len(cands) {
-			end = len(cands)
-		}
-		round := cands[off:end]
-		// Timing model: the index path ships encoded reads only (the
-		// reference is already device-resident), i.e. the host-encoded
-		// transfer profile.
-		w := cuda.Workload{Pairs: len(round), ReadLen: L, E: errThreshold, DeviceEncoded: false}
-		shares := e.roundShares(len(round), w)
-		var wg sync.WaitGroup
-		errs := make([]error, len(e.states))
-		lo := 0
-		for di, st := range e.states {
-			if shares[di] == 0 {
-				continue
-			}
-			hi := lo + shares[di]
-			wg.Add(1)
-			go func(di int, st *deviceState, chunk []Candidate, out []Result) {
-				defer wg.Done()
-				errs[di] = e.runCandidateBatch(st, di, chunk, readWords, readHasN, errThreshold, out)
-			}(di, st, round[lo:hi], results[off+lo:off+hi])
-			lo = hi
-		}
-		wg.Wait()
-		if err := e.classifyRoundErrs(errs); err != nil {
-			return nil, err
-		}
-		rc := e.modelRound(shares, w)
-		acc.KernelSeconds += rc.kernel
-		acc.FilterSeconds += rc.filter
-		acc.Batches++
-		records = append(records, rc.records...)
-	}
-
-	acc.countDecisions(results)
-	acc.WallSeconds = time.Since(wallStart).Seconds()
-	for _, r := range records {
-		r.dev.RecordKernel(r.kt, r.util)
-	}
-	e.commitStats(acc)
 	return results, nil
-}
-
-// StreamCandidate names one streaming filtration against the loaded
-// reference: the read sequence itself and the reference window offset.
-// Unlike FilterCandidates' (ReadID, Pos) naming, the stream carries the read
-// bytes directly — concurrent producers need no shared read numbering —
-// while the reference side still comes from the unified-memory encoded
-// reference, so a window's bases are never materialized on the host.
-// Pos is 64-bit, matching Candidate.
-type StreamCandidate struct {
-	Read []byte
-	Pos  int64
-}
-
-// FilterCandidateStream is FilterStream for index-named candidates: the
-// mrFAST integration path (Section 3.5) taken asynchronous. Candidates
-// arriving on in are filtered against the reference loaded by SetReference,
-// with each device running the same double-buffered encode/launch pipeline
-// as FilterStream — the host pool packs reads into one buffer set while the
-// kernel extracts reference segments for the other — and results return in
-// input order.
-//
-// Decisions are identical to FilterCandidates. Where FilterCandidates
-// rejects a whole call for an out-of-range window or wrong-length read, a
-// streaming candidate keeps its ordering slot and is reported as
-// Undefined+Accept (the defensive pass-to-verification convention), exactly
-// like a wrong-length pair on FilterStream. Cancellation, failure, and
-// StreamErr semantics match FilterStream. Do not call SetReference while a
-// candidate stream is active (it would block until the stream drains).
-func (e *Engine) FilterCandidateStream(ctx context.Context, in <-chan StreamCandidate, errThreshold int) (<-chan Result, error) {
-	if e.ref == nil {
-		return nil, fmt.Errorf("gkgpu: FilterCandidateStream before SetReference")
-	}
-	if errThreshold < 0 || errThreshold > e.cfg.MaxE {
-		return nil, fmt.Errorf("gkgpu: threshold %d outside compiled [0,%d]", errThreshold, e.cfg.MaxE)
-	}
-	L := e.cfg.ReadLen
-	out := make(chan Result, streamOutBuffer)
-	go runStream(e, ctx, in, errThreshold, out, streamOps[StreamCandidate]{
-		encode: e.encodeCandidateChunk,
-		launch: e.launchCandidateBatch,
-		workload: func(n, errThreshold int) cuda.Workload {
-			// The index path ships encoded reads only (the reference is
-			// already device-resident): the host-encoded transfer profile,
-			// as in FilterCandidates.
-			return cuda.Workload{Pairs: n, ReadLen: L, E: errThreshold, DeviceEncoded: false}
-		},
-	})
-	return out, nil
-}
-
-// encodeCandidateChunk is the candidate stream's host-side encode stage:
-// pack each candidate's read into the set's read buffer (2-bit, host
-// encoded), mark undefined or out-of-geometry candidates in the flag
-// buffer, and submit the prefetches. The reference buffer is untouched —
-// it is the engine-lifetime unified-memory reference.
-func (e *Engine) encodeCandidateChunk(st *deviceState, set *bufferSet, items []StreamCandidate) {
-	n := len(items)
-	L := e.cfg.ReadLen
-	encWords := bitvec.EncodedWords(L)
-	flags := set.flagBuf.Bytes()
-	rb := set.readBuf.Bytes()
-	ref := e.ref
-
-	workers := len(st.encWords)
-	if workers > n {
-		workers = n
-	}
-	stride := (n + workers - 1) / workers
-	var wg sync.WaitGroup
-	for wk := 0; wk < workers; wk++ {
-		lo := wk * stride
-		if lo >= n {
-			break
-		}
-		hi := lo + stride
-		if hi > n {
-			hi = n
-		}
-		wg.Add(1)
-		go func(wk, lo, hi int) {
-			defer wg.Done()
-			words := st.encWords[wk]
-			for i := lo; i < hi; i++ {
-				c := items[i]
-				// Out-of-geometry candidates (FilterCandidates' validation
-				// errors) and 'N'-touched candidates both flag undefined:
-				// the former defensively, the latter by design.
-				if len(c.Read) != L || c.Pos < 0 || int(c.Pos)+L > ref.length ||
-					ref.windowHasN(c.Pos, L) || dna.TryEncodeInto(words, c.Read) >= 0 {
-					flags[i] = 1
-					continue
-				}
-				for w, v := range words {
-					binary.LittleEndian.PutUint64(rb[(i*encWords+w)*8:], v)
-				}
-				flags[i] = 0
-			}
-		}(wk, lo, hi)
-	}
-	wg.Wait()
-
-	set.readBuf.HostWrite(0, n*encWords*8)
-	set.flagBuf.HostWrite(0, n)
-	set.readBuf.PrefetchAsync(set.streams[0])
-	set.flagBuf.PrefetchAsync(set.streams[2])
-	if !st.dev.Spec.SupportsPrefetch() {
-		set.readBuf.DeviceTouch(0, set.readBuf.Len())
-	}
-}
-
-// launchCandidateBatch is the candidate stream's device-side stage: the
-// kernel reads each packed read from the buffer set and extracts its
-// reference segment from the device-resident encoded reference by index, as
-// runCandidateBatch does for the one-shot path.
-func (e *Engine) launchCandidateBatch(st *deviceState, devIdx int, set *bufferSet,
-	items []StreamCandidate, errThreshold int, out []Result) error {
-
-	n := len(items)
-	if n == 0 {
-		return nil
-	}
-	L := e.cfg.ReadLen
-	encWords := bitvec.EncodedWords(L)
-	flags := set.flagBuf.Bytes()
-	rb := set.readBuf.Bytes()
-	refBuf := e.ref.bufs[devIdx]
-	refRaw := refBuf.Bytes()
-	refBuf.DeviceTouch(0, refBuf.Len()) // on-demand migration on Kepler
-
-	lc := st.sys.Launch
-	if need := (n + lc.ThreadsPerBlock - 1) / lc.ThreadsPerBlock; need < lc.Blocks {
-		lc.Blocks = need
-	}
-	return st.dev.Launch(lc, n, func(worker, tid int) {
-		if flags[tid] == 1 {
-			out[tid] = Result{Accept: true, Undefined: true}
-			return
-		}
-		rw := st.readWords[worker]
-		base := tid * encWords * 8
-		for w := 0; w < encWords; w++ {
-			rw[w] = binary.LittleEndian.Uint64(rb[base+w*8:])
-		}
-		fw := st.refWords[worker]
-		extractFromRaw(fw, refRaw, int(items[tid].Pos), L)
-		est, accept := st.kernels[worker].FilterEncoded(rw, fw, errThreshold)
-		out[tid] = Result{Accept: accept, Estimate: uint16(est)}
-	})
 }
 
 // runCandidateBatch executes one device's share of an index-named round.

@@ -29,16 +29,14 @@ const streamLinger = 2 * time.Millisecond
 
 // streamBatch carries one dispatch unit through the pipeline: from the
 // dispatcher, to a device's encode stage, to its launch stage, to the
-// reorder collector that emits results in input order. The item type is the
-// stream's input unit: materialized Pairs on the FilterStream path,
-// index-named StreamCandidates on the FilterCandidateStream path.
+// reorder collector that emits results in input order.
 //
 // A batch that fails on a quarantined device travels back through the
 // collector and dispatcher to a surviving device, keeping its seq — the
 // ordering slot is assigned once, so redispatch cannot reorder the stream.
-type streamBatch[T any] struct {
+type streamBatch struct {
 	seq   int
-	items []T
+	items []Pair
 	res   []Result
 	err   error
 
@@ -56,16 +54,6 @@ type streamBatch[T any] struct {
 	prepSec   float64 // host-encode share after the worker-pool speedup
 	xferSec   float64 // PCIe share
 	util      float64 // modelled compute utilization, for the power trace
-}
-
-// streamOps specializes the generic streaming pipeline to one input type.
-// encode is the host-side stage (fill a buffer set, submit prefetches);
-// launch is the device-side stage (kernel over the encoded set, results into
-// res); workload shapes the cost model for a batch.
-type streamOps[T any] struct {
-	encode   func(st *deviceState, set *bufferSet, items []T)
-	launch   func(st *deviceState, devIdx int, set *bufferSet, items []T, errThreshold int, res []Result) error
-	workload func(n, errThreshold int) cuda.Workload
 }
 
 // streamTally aggregates a stream's per-device modelled clocks; the stream's
@@ -109,16 +97,7 @@ func (e *Engine) FilterStream(ctx context.Context, in <-chan Pair, errThreshold 
 		return nil, fmt.Errorf("gkgpu: threshold %d outside compiled [0,%d]", errThreshold, e.cfg.MaxE)
 	}
 	out := make(chan Result, streamOutBuffer)
-	go runStream(e, ctx, in, errThreshold, out, streamOps[Pair]{
-		encode: func(st *deviceState, set *bufferSet, items []Pair) {
-			e.encodeChunk(st, set, items)
-			e.prefetch(st, set)
-		},
-		launch: func(st *deviceState, _ int, set *bufferSet, items []Pair, errThreshold int, res []Result) error {
-			return e.launchDecode(st, set, len(items), errThreshold, res)
-		},
-		workload: e.workload,
-	})
+	go runStream(e, ctx, in, errThreshold, out)
 	return out, nil
 }
 
@@ -168,17 +147,15 @@ func (e *Engine) streamBatchPairs() int {
 // cancelled producer is expected to stop on the same ctx, whereas a failed
 // stream's producer may know nothing and must be unblocked until it closes
 // the channel, as the stream contract requires.
-func drainInput[T any](in <-chan T) {
+func drainInput(in <-chan Pair) {
 	for range in {
 	}
 }
 
 // runStream owns a stream's lifetime: dispatching batches, fanning them out
 // to the per-device pipelines, reordering completions, redispatching batches
-// off quarantined devices, and committing stats. It is generic over the
-// stream's input unit; ops provides the per-device encode/launch stages and
-// the cost-model workload shape.
-func runStream[T any](e *Engine, ctx context.Context, in <-chan T, errThreshold int, out chan<- Result, ops streamOps[T]) {
+// off quarantined devices, and committing stats.
+func runStream(e *Engine, ctx context.Context, in <-chan Pair, errThreshold int, out chan<- Result) {
 	defer close(out)
 	// The stream owns every device for its whole life; runMu held across the
 	// pipeline (including its channel waits) is that ownership.
@@ -209,13 +186,13 @@ func runStream[T any](e *Engine, ctx context.Context, in <-chan T, errThreshold 
 	// collector never blocks on it. settled pulses when the collector
 	// finalizes a batch; after input ends the dispatcher waits on it until
 	// every issued batch has resolved, forwarding redispatches meanwhile.
-	dispatch := make(chan *streamBatch[T])
-	completed := make(chan *streamBatch[T], bufferSets*nDev+1)
+	dispatch := make(chan *streamBatch)
+	completed := make(chan *streamBatch, bufferSets*nDev+1)
 	// A dying device bounces at most its pipeline depth plus one in-hand
 	// batch (bufferSets+2); sized for every device dying, the collector's
 	// resubmit send can never block, so it always returns to draining
 	// completed — the property the pipeline's liveness rests on.
-	resubmit := make(chan *streamBatch[T], (bufferSets+2)*nDev)
+	resubmit := make(chan *streamBatch, (bufferSets+2)*nDev)
 	settled := make(chan struct{}, 1)
 	var inFlight atomic.Int64
 
@@ -225,17 +202,17 @@ func runStream[T any](e *Engine, ctx context.Context, in <-chan T, errThreshold 
 	// the dispatcher appends into a recycled items buffer and the collector
 	// returns each batch once its results have been emitted and tallied.
 	var pool sync.Pool
-	newBatch := func() *streamBatch[T] {
-		if b, ok := pool.Get().(*streamBatch[T]); ok {
+	newBatch := func() *streamBatch {
+		if b, ok := pool.Get().(*streamBatch); ok {
 			b.items = b.items[:0]
 			b.err = nil
 			b.retries = 0
 			b.quarantined = false
 			return b
 		}
-		return &streamBatch[T]{items: make([]T, 0, batchCap)}
+		return &streamBatch{items: make([]Pair, 0, batchCap)}
 	}
-	recycle := func(b *streamBatch[T]) {
+	recycle := func(b *streamBatch) {
 		clear(b.items) // drop references so recycling never retains sequences
 		b.items = b.items[:0]
 		pool.Put(b)
@@ -249,7 +226,7 @@ func runStream[T any](e *Engine, ctx context.Context, in <-chan T, errThreshold 
 		workers.Add(1)
 		go func(di int, st *deviceState) {
 			defer workers.Done()
-			streamWorker(e, ctx, di, st, errThreshold, dispatch, completed, ops)
+			streamWorker(e, ctx, di, st, errThreshold, dispatch, completed)
 		}(di, st)
 	}
 
@@ -267,10 +244,10 @@ func runStream[T any](e *Engine, ctx context.Context, in <-chan T, errThreshold 
 			prep:   make([]float64, nDev),
 			xfer:   make([]float64, nDev),
 		}
-		pending := make(map[int]*streamBatch[T])
+		pending := make(map[int]*streamBatch)
 		next := 0
 		canceled, failed := false, false
-		finalize := func(b *streamBatch[T]) {
+		finalize := func(b *streamBatch) {
 			recycle(b)
 			inFlight.Add(-1)
 			select {
@@ -358,12 +335,12 @@ func runStream[T any](e *Engine, ctx context.Context, in <-chan T, errThreshold 
 	// router: batches bounced off a quarantined device re-enter dispatch
 	// here, before fresh input, so they reach a surviving device promptly.
 	seq := 0
-	var batch *streamBatch[T]
+	var batch *streamBatch
 	linger := time.NewTimer(streamLinger)
 	if !linger.Stop() {
 		<-linger.C
 	}
-	forward := func(b *streamBatch[T]) bool {
+	forward := func(b *streamBatch) bool {
 		select {
 		case dispatch <- b:
 			return true
@@ -500,12 +477,12 @@ settle:
 // device is quarantined the worker bounces its current batch back through
 // completed (for redispatch) and stops consuming; the surviving workers own
 // the rest of the stream.
-func streamWorker[T any](e *Engine, ctx context.Context, di int, st *deviceState, errThreshold int,
-	dispatch <-chan *streamBatch[T], completed chan<- *streamBatch[T], ops streamOps[T]) {
+func streamWorker(e *Engine, ctx context.Context, di int, st *deviceState, errThreshold int,
+	dispatch <-chan *streamBatch, completed chan<- *streamBatch) {
 
 	type work struct {
 		set *bufferSet
-		b   *streamBatch[T]
+		b   *streamBatch
 	}
 	free := make(chan *bufferSet, len(st.sets))
 	for _, set := range st.sets {
@@ -516,12 +493,14 @@ func streamWorker[T any](e *Engine, ctx context.Context, di int, st *deviceState
 	go func() {
 		defer close(launcherDone)
 		for wk := range ready {
-			b := wk.b
-			b.err = launchWithRetry(e, ctx, st, di, wk.set, b, errThreshold, ops)
+			b, set := wk.b, wk.set
+			b.retries, b.quarantined, b.err = launchWithRetry(e, ctx, st, b.seq, func() error {
+				return e.launchDecode(st, set, len(b.items), errThreshold, b.res)
+			})
 			if b.err == nil {
-				tallyBatch(e, st, di, b, ops.workload(len(b.items), errThreshold))
+				tallyBatch(e, st, di, b, e.workload(len(b.items), errThreshold))
 			}
-			free <- wk.set
+			free <- set
 			completed <- b //gk:allow streamsafe: the collector drains completed until every worker's launcherDone closes
 		}
 	}()
@@ -532,53 +511,53 @@ func streamWorker[T any](e *Engine, ctx context.Context, di int, st *deviceState
 			break
 		}
 		set := <-free
-		ops.encode(st, set, b.items)
+		e.encodeChunk(st, set, b.items)
+		e.prefetch(st, set)
 		ready <- work{set: set, b: b} //gk:allow streamsafe: the launcher goroutine drains ready until this loop closes it
 	}
 	close(ready)
 	<-launcherDone
 }
 
-// launchWithRetry runs one batch's launch stage under the engine's fault
-// policy: transient failures retry on the same buffer set with doubling,
-// capped, ctx-interruptible backoff (the encode is still in the buffers, and
-// an injected fault fires before any kernel thread runs, so a retry
-// reproduces the batch exactly). A lost device, exhausted attempts, or
-// cancellation ends the loop with the classified fault; the first two also
-// quarantine the device, marking the batch so the collector counts the
-// quarantine event exactly once.
-func launchWithRetry[T any](e *Engine, ctx context.Context, st *deviceState, di int,
-	set *bufferSet, b *streamBatch[T], errThreshold int, ops streamOps[T]) error {
+// launchWithRetry runs one launch under the engine's fault policy, for a
+// stream batch (batch is its sequence number) and for a device's share of a
+// one-shot round (batch -1) alike. Transient failures rerun launch with
+// doubling, capped, ctx-interruptible backoff; launch must therefore be
+// repeatable (an injected fault fires before any kernel thread runs, so a
+// rerun reproduces the work exactly). A lost device, exhausted attempts, or
+// cancellation end the loop with the classified fault; the first two also
+// quarantine the device, and quarantined reports whether this call did so,
+// so the caller counts each quarantine event exactly once. retries is how
+// many attempts were repeated.
+func launchWithRetry(e *Engine, ctx context.Context, st *deviceState, batch int,
+	launch func() error) (retries int64, quarantined bool, err error) {
 
 	pol := e.cfg.Fault
 	backoff := pol.Backoff
 	for attempt := 1; ; attempt++ {
 		if st.down.Load() {
-			return classifyFault(st.dev.ID, b.seq, attempt-1, cuda.ErrDeviceLost)
+			return retries, false, classifyFault(st.dev.ID, batch, attempt-1, cuda.ErrDeviceLost)
 		}
-		err := ops.launch(st, di, set, b.items, errThreshold, b.res)
-		if err == nil {
-			return nil
+		lerr := launch()
+		if lerr == nil {
+			return retries, false, nil
 		}
-		fault := classifyFault(st.dev.ID, b.seq, attempt, err)
-		if lost := errors.Is(err, cuda.ErrDeviceLost); lost || attempt >= pol.MaxAttempts {
-			if st.down.CompareAndSwap(false, true) {
-				b.quarantined = true
-			}
-			return fault
+		fault := classifyFault(st.dev.ID, batch, attempt, lerr)
+		if errors.Is(lerr, cuda.ErrDeviceLost) || attempt >= pol.MaxAttempts {
+			return retries, st.down.CompareAndSwap(false, true), fault
 		}
 		if ctx.Err() != nil {
 			// Cancelled mid-batch: no quarantine — the fault was transient
 			// and the stream is winding down anyway.
-			return fault
+			return retries, false, fault
 		}
-		b.retries++
+		retries++
 		t := time.NewTimer(backoff)
 		select {
 		case <-t.C:
 		case <-ctx.Done():
 			t.Stop()
-			return fault
+			return retries, false, fault
 		}
 		backoff *= 2
 		if backoff > pol.MaxBackoff {
@@ -593,7 +572,7 @@ func launchWithRetry[T any](e *Engine, ctx context.Context, st *deviceState, di 
 // Setup, not the simulating machine, so the clocks are reproducible anywhere.
 //
 //gk:noalloc
-func tallyBatch[T any](e *Engine, st *deviceState, di int, b *streamBatch[T], w cuda.Workload) {
+func tallyBatch(e *Engine, st *deviceState, di int, b *streamBatch, w cuda.Workload) {
 	m := e.cfg.Model
 	encWorkers := e.cfg.Setup.EncodeWorkers
 	if encWorkers < 1 {

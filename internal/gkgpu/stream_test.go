@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"repro/internal/cuda"
-	"repro/internal/dna"
 )
 
 // drainStream feeds pairs through a stream with a single producer and
@@ -286,165 +285,6 @@ func TestStreamBeatsOneShotModelled(t *testing.T) {
 		os, ss := oneShot.Stats().FilterSeconds, stream.Stats().FilterSeconds
 		if ss >= os {
 			t.Errorf("nDev=%d: stream FilterSeconds %.6f not below one-shot %.6f", nDev, ss, os)
-		}
-	}
-}
-
-// drainCandidateStream feeds candidates through a candidate stream with a
-// single producer and returns the results in emission order.
-func drainCandidateStream(t *testing.T, eng *Engine, cands []StreamCandidate, e int) []Result {
-	t.Helper()
-	in := make(chan StreamCandidate)
-	out, err := eng.FilterCandidateStream(context.Background(), in, e)
-	if err != nil {
-		t.Fatal(err)
-	}
-	go func() {
-		for _, c := range cands {
-			in <- c
-		}
-		close(in)
-	}()
-	var res []Result
-	for r := range out {
-		res = append(res, r)
-	}
-	return res
-}
-
-func TestFilterCandidateStreamMatchesFilterCandidates(t *testing.T) {
-	// The streaming candidate path must make exactly the decisions of the
-	// one-shot index-named path, in input order, whatever the device count
-	// or batch granularity — including 'N'-touched windows and reads.
-	rng := rand.New(rand.NewSource(31))
-	genome := dna.RandomSeq(rng, 30_000)
-	genome[11_050] = 'N'
-	var reads [][]byte
-	var cands []Candidate
-	var scands []StreamCandidate
-	for i := 0; i < 50; i++ {
-		pos := rng.Intn(len(genome) - 100)
-		read := dna.MutateSubstitutions(rng, genome[pos:pos+100], rng.Intn(12))
-		if i == 7 {
-			read = append([]byte(nil), read...)
-			read[40] = 'N'
-		}
-		reads = append(reads, read)
-		for _, p := range []int{pos, rng.Intn(len(genome) - 100), 11_000} {
-			cands = append(cands, Candidate{ReadID: int64(i), Pos: int64(p)})
-			scands = append(scands, StreamCandidate{Read: read, Pos: int64(p)})
-		}
-	}
-	ref := newTestEngine(t, EncodeOnHost, 1)
-	if err := ref.SetReference(genome); err != nil {
-		t.Fatal(err)
-	}
-	want, err := ref.FilterCandidates(reads, cands, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, nDev := range []int{1, 3} {
-		eng := newStreamEngine(t, EncodeOnHost, nDev, 32)
-		if err := eng.SetReference(genome); err != nil {
-			t.Fatal(err)
-		}
-		got := drainCandidateStream(t, eng, scands, 5)
-		if len(got) != len(want) {
-			t.Fatalf("nDev=%d: %d results, want %d", nDev, len(got), len(want))
-		}
-		for i := range got {
-			if got[i] != want[i] {
-				t.Fatalf("nDev=%d candidate %d: stream %+v one-shot %+v", nDev, i, got[i], want[i])
-			}
-		}
-		st := eng.Stats()
-		if st.Pairs != int64(len(scands)) {
-			t.Fatalf("stats.Pairs = %d, want %d", st.Pairs, len(scands))
-		}
-		if st.KernelSeconds <= 0 || st.FilterSeconds <= 0 {
-			t.Fatalf("candidate stream committed no modelled clocks: %+v", st)
-		}
-	}
-}
-
-func TestFilterCandidateStreamDefensivePassThrough(t *testing.T) {
-	// Candidates FilterCandidates would reject as a whole call — windows
-	// outside the reference, wrong-length reads — keep their ordering slot
-	// as Undefined+Accept on the stream.
-	rng := rand.New(rand.NewSource(32))
-	genome := dna.RandomSeq(rng, 5_000)
-	eng := newStreamEngine(t, EncodeOnHost, 1, 16)
-	if err := eng.SetReference(genome); err != nil {
-		t.Fatal(err)
-	}
-	read := dna.RandomSeq(rng, 100)
-	cands := []StreamCandidate{
-		{Read: read, Pos: 100},
-		{Read: read, Pos: int64(len(genome) - 50)}, // window past the end
-		{Read: read, Pos: -3},                      // negative offset
-		{Read: read[:60], Pos: 100},                // wrong-length read
-		{Read: read, Pos: 200},
-	}
-	res := drainCandidateStream(t, eng, cands, 5)
-	if len(res) != len(cands) {
-		t.Fatalf("%d results, want %d", len(res), len(cands))
-	}
-	for _, i := range []int{1, 2, 3} {
-		if !res[i].Accept || !res[i].Undefined {
-			t.Fatalf("invalid candidate %d not passed through undefined: %+v", i, res[i])
-		}
-	}
-	for _, i := range []int{0, 4} {
-		if res[i].Undefined {
-			t.Fatalf("clean candidate %d reported undefined", i)
-		}
-	}
-}
-
-func TestFilterCandidateStreamRequiresReference(t *testing.T) {
-	eng := newStreamEngine(t, EncodeOnHost, 1, 16)
-	if _, err := eng.FilterCandidateStream(context.Background(), nil, 5); err == nil {
-		t.Fatal("candidate stream before SetReference accepted")
-	}
-	if err := eng.SetReference(make([]byte, 500)); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := eng.FilterCandidateStream(context.Background(), nil, 99); err == nil {
-		t.Fatal("threshold above compiled MaxE accepted")
-	}
-}
-
-func TestFilterCandidateStreamInterleavesWithOtherPaths(t *testing.T) {
-	// One engine must support candidate streams, pair streams, and one-shot
-	// calls back to back: buffer sets are returned and the reference stays
-	// loaded across them.
-	rng := rand.New(rand.NewSource(33))
-	genome := dna.RandomSeq(rng, 20_000)
-	eng := newStreamEngine(t, EncodeOnHost, 2, 32)
-	if err := eng.SetReference(genome); err != nil {
-		t.Fatal(err)
-	}
-	var scands []StreamCandidate
-	for i := 0; i < 120; i++ {
-		pos := rng.Intn(len(genome) - 100)
-		scands = append(scands, StreamCandidate{
-			Read: dna.MutateSubstitutions(rng, genome[pos:pos+100], rng.Intn(10)),
-			Pos:  int64(pos),
-		})
-	}
-	first := drainCandidateStream(t, eng, scands, 5)
-	pairs, _ := makePairs(rng, 100, 100, 5)
-	if _, err := eng.FilterPairs(pairs, 5); err != nil {
-		t.Fatal(err)
-	}
-	mid := drainStream(t, eng, pairs, 5)
-	second := drainCandidateStream(t, eng, scands, 5)
-	if len(mid) != len(pairs) {
-		t.Fatalf("pair stream returned %d of %d", len(mid), len(pairs))
-	}
-	for i := range first {
-		if first[i] != second[i] {
-			t.Fatalf("candidate %d drifted across interleaved runs: %+v vs %+v", i, first[i], second[i])
 		}
 	}
 }

@@ -26,12 +26,12 @@ func init() {
 
 // runStreamIngest compares the two ways a FASTQ read set can enter the
 // end-to-end mapper: materialized (decode the whole file into [][]byte,
-// then MapStream) versus channel-fed (dna.FASTQScanner records flowing
+// then MapReads) versus channel-fed (dna.FASTQScanner records flowing
 // straight into MapReadStream as they decode, nothing retained). Both paths
-// execute the same filtrations and verifications — the mappings are checked
-// byte-identical — while the channel-fed path overlaps decoding with
-// mapping and holds only in-flight reads, which the sampled peak heap
-// makes visible.
+// run the same batch core over the same filtrations and verifications — the
+// mappings are checked byte-identical — while the channel-fed path overlaps
+// decoding with mapping and holds only the batch being mapped, which the
+// sampled peak heap makes visible.
 func runStreamIngest(o Options) error {
 	const genomeLen, e, L = 300_000, 5, 100
 	nReads := o.scaled(3_000)
@@ -140,7 +140,7 @@ func runStreamIngest(o Options) error {
 		for i, r := range all {
 			seqs[i] = r.Seq
 		}
-		mappings, st, err := m.MapStream(seqs, e)
+		mappings, st, err := m.MapReads(seqs, e)
 		*live = liveHeap() // the decoded read set is still live here
 		// Pin the read set AND the mapper through the reading: Go liveness
 		// is last-use-based, and letting the index die here would offset
@@ -196,7 +196,7 @@ func runStreamIngest(o Options) error {
 	fmt.Fprintf(o.Out, "%d reads (%.1f MB FASTQ), %d candidates, e=%d, %d workers (GOMAXPROCS)\n\n",
 		nReads, float64(len(fastq))/1e6, matStats.CandidatePairs, e, runtime.GOMAXPROCS(0))
 	tb := metrics.NewTable("ingestion", "wall (s)", "peak heap (MB)", "retained at end (MB)", "mapped reads")
-	tb.Add("materialized (ReadFASTQ + MapStream)",
+	tb.Add("materialized (ReadFASTQ + MapReads)",
 		fmt.Sprintf("%.3f", matWall), fmt.Sprintf("%.2f", float64(matPeak)/1e6),
 		fmt.Sprintf("%.2f", float64(matLive)/1e6),
 		fmt.Sprintf("%d", matStats.MappedReads))
@@ -206,8 +206,8 @@ func runStreamIngest(o Options) error {
 		fmt.Sprintf("%d", strStats.MappedReads))
 	fmt.Fprint(o.Out, tb.String())
 	fmt.Fprintln(o.Out, "\nShape checks: mappings byte-identical on both paths. The channel-fed path never")
-	fmt.Fprintln(o.Out, "holds the decoded read set — a record's bytes are garbage once its candidates")
-	fmt.Fprintln(o.Out, "verify — so what it retains at end of run (GC'd live heap, both columns over a")
+	fmt.Fprintln(o.Out, "holds the decoded read set — a record's bytes are garbage once its batch is")
+	fmt.Fprintln(o.Out, "mapped — so what it retains at end of run (GC'd live heap, both columns over a")
 	fmt.Fprintln(o.Out, "common baseline) stays flat while the materialized path's grows with the input;")
 	fmt.Fprintln(o.Out, "peak heap is allocation pressure sampled mid-run. Run at scale >= 1 for clear gaps.")
 

@@ -80,7 +80,7 @@ func TestMapReadStreamFASTQMidStreamIOError(t *testing.T) {
 	for i := range seqs {
 		seqs[i] = reads[i].Seq
 	}
-	want, _, err := m.MapStream(seqs, 5)
+	want, _, err := m.MapReads(seqs, 5)
 	if err != nil {
 		t.Fatal(err)
 	}

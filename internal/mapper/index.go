@@ -13,23 +13,21 @@
 // are rejected unless wholly inside one contig, and reported Mappings carry
 // contig-relative coordinates.
 //
-// Two execution paths are offered, mirroring package gkgpu's split.
-// Mapper.MapReads is the paper's one-shot pipeline: synchronized phases in
-// which a batch of reads is seeded, its candidates are filtered in one
-// round, and the survivors are verified, with each phase's wall clock
-// reported separately (the accounting of Section 4.5). Mapper.MapStream is
-// the throughput-oriented extension: a pool of seeding workers feeds
-// candidates into the filter's streaming path — preferring the index-named
-// candidate stream (gkgpu.Engine.FilterCandidateStream), where reference
-// windows stay in device-resident unified memory — while a verification
-// pool consumes accepted candidates concurrently, so seeding, filtering,
-// and verification overlap instead of running back to back. Decisions and
-// output are byte-identical between the two paths; only the schedule (and
-// the wall clock, reported via Stats.PipelineWallSeconds against
-// Stats.StageSeconds) differs. Mapper.MapPairs builds paired-end mapping on
-// top of the streaming path: both mates of an FR library map in one
-// streaming pass and concordant pairs are resolved against an insert-size
-// window, with concordance restricted to same-contig mates.
+// One mapping core serves every entry point: the paper's batch design
+// (Section 3.5), which fills the filter's buffers with many reads and their
+// candidate location indices, filters them in one round, then verifies the
+// survivors. Each batch of Config.MaxReadsPerBatch reads is seeded in
+// parallel, all its candidates go to the filter in one FilterCandidates (or
+// FilterPairs) call, and the survivors are verified in parallel; the
+// per-batch buffers are reused from batch to batch. Mapper.MapReads cuts a
+// read slice into batches; Mapper.MapReadStream fills each batch from a
+// channel as reads arrive, so a decoder can feed it without the read set
+// ever being materialized. Mapper.MapPairs and Mapper.MapPairStream map
+// both mates of an FR library as interleaved reads through the same core
+// and resolve concordant pairs against an insert-size window, with
+// concordance restricted to same-contig mates. Output and decision counters
+// are byte-identical across entry points, batch sizes and pool widths;
+// every stage clock is wall time.
 package mapper
 
 import (

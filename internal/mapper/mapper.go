@@ -2,15 +2,12 @@ package mapper
 
 import (
 	"fmt"
-	"math"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
-	"time"
 
-	"repro/internal/align"
-	"repro/internal/dna"
 	"repro/internal/gkgpu"
 )
 
@@ -25,8 +22,8 @@ type PreFilter interface {
 // integration (Section 3.5): the encoded reference lives in unified memory
 // and candidates are named by (read, location) indices, so each read is
 // copied to the device once and the kernel extracts reference segments
-// itself. gkgpu.Engine implements it; the mapper uses this path whenever
-// available.
+// itself. gkgpu.Engine and gkgpu.CPUEngine implement it; the mapper uses
+// this path whenever available.
 type CandidateFilter interface {
 	PreFilter
 	SetReference(seq []byte) error
@@ -46,8 +43,11 @@ type Config struct {
 	// unstepped mapper). Must leave the probe span inside the read:
 	// SeedStep <= ReadLen-SeedLen+1.
 	SeedStep int
-	// MaxReadsPerBatch is the number of reads whose candidates are batched
-	// into one filtering round (Table 1; the paper finds 100,000 best).
+	// MaxReadsPerBatch is the batch size of every mapping entry point: how
+	// many reads (each mate of a pair counts as one read) are seeded, have
+	// their candidates filtered in one round, and are verified together
+	// (Table 1's reads per batch). Under BothStrands a batch also carries
+	// its reads' reverse complements. Zero uses DefaultMaxReadsPerBatch.
 	MaxReadsPerBatch int
 	Filter           PreFilter
 	// Traceback makes verification produce CIGAR strings for SAM output at
@@ -56,11 +56,15 @@ type Config struct {
 	// BothStrands also maps the reverse complement of every read, as real
 	// short read mappers do; reverse-strand mappings carry Reverse=true.
 	BothStrands bool
-	// StreamWorkers sizes the seeding and verification worker pools — the
-	// streaming pipeline's stage pools and the one-shot MapReads fan-out
-	// alike. Zero uses GOMAXPROCS.
+	// StreamWorkers sizes each batch's parallel seeding and verification
+	// fan-out, on every entry point. Zero uses GOMAXPROCS.
 	StreamWorkers int
 }
+
+// DefaultMaxReadsPerBatch is the batch size when Config.MaxReadsPerBatch is
+// zero. Per-batch memory grows with the batch, and larger batches measured
+// no faster, because every stage of a batch already runs at machine width.
+const DefaultMaxReadsPerBatch = 1024
 
 func (c *Config) applyDefaults() {
 	if c.SeedLen == 0 {
@@ -70,8 +74,26 @@ func (c *Config) applyDefaults() {
 		c.SeedStep = 1
 	}
 	if c.MaxReadsPerBatch == 0 {
-		c.MaxReadsPerBatch = 100_000
+		c.MaxReadsPerBatch = DefaultMaxReadsPerBatch
 	}
+}
+
+// validate checks a defaulted configuration's read and seed geometry.
+func (c *Config) validate() error {
+	if c.ReadLen <= 0 {
+		return fmt.Errorf("mapper: read length %d", c.ReadLen)
+	}
+	if c.MaxE < 0 || c.MaxE >= c.ReadLen {
+		return fmt.Errorf("mapper: error threshold %d outside [0,%d)", c.MaxE, c.ReadLen)
+	}
+	if c.SeedLen > c.ReadLen {
+		return fmt.Errorf("mapper: seed length %d exceeds read length %d", c.SeedLen, c.ReadLen)
+	}
+	if c.SeedStep < 1 || c.SeedStep > c.ReadLen-c.SeedLen+1 {
+		return fmt.Errorf("mapper: seed step %d outside [1,%d] (probe span must fit the read)",
+			c.SeedStep, c.ReadLen-c.SeedLen+1)
+	}
+	return nil
 }
 
 // Mapping is one reported alignment. Coordinates are contig-relative:
@@ -91,7 +113,10 @@ type Mapping struct {
 // number of mappings, the number of mapped reads, the total number of
 // candidate mappings, the total number of candidate mappings that enter
 // verification, time spent for verification, time spent for preprocessing
-// before pre-alignment filtering, and total kernel time".
+// before pre-alignment filtering, and total kernel time". Every entry point
+// fills them the same way: the stage clocks are wall time summed over the
+// call's batches, and the model fields are the filter's modelled clocks
+// for this call alone.
 type Stats struct {
 	Reads              int64
 	CandidatePairs     int64 // candidate mappings found by seeding
@@ -101,20 +126,13 @@ type Stats struct {
 	Mappings           int64
 	MappedReads        int64
 	SeedSeconds        float64 // wall: seeding + candidate collection
-	PreprocessSeconds  float64 // wall: batching/buffer preparation
+	PreprocessSeconds  float64 // wall: filter buffer preparation
 	FilterWallSeconds  float64 // wall: pre-alignment filtering
 	FilterKernelModel  float64 // modelled device kernel seconds
 	FilterModelSeconds float64 // modelled end-to-end filter seconds
 	FilterPrepModel    float64 // modelled host encode/fill seconds
 	VerifySeconds      float64 // wall: bit-parallel verification (align.Verifier)
 	TotalSeconds       float64
-
-	// Streaming-pipeline metrics, populated by MapStream and MapPairs only.
-	// On the streaming path SeedSeconds and VerifySeconds are aggregate
-	// worker-busy seconds (the stage cost, summed across the pools) rather
-	// than wall time, and PipelineWallSeconds is the single wall clock the
-	// overlapped seed → filter → verify pipeline actually took.
-	PipelineWallSeconds float64
 
 	// Paired-end accounting, populated by MapPairs and MapPairStream only.
 	ReadPairs       int64 // input mate pairs
@@ -128,34 +146,6 @@ type Stats struct {
 	InsertMean         float64 // estimated mean fragment length
 	InsertStd          float64 // estimated fragment length std deviation
 	InsertSampledPairs int64   // confident pairs behind the estimate
-}
-
-// StageSeconds is the modelled serial cost of the pipeline: what seeding,
-// filtering, and verification would take end to end with no overlap. On the
-// one-shot path it is simply how the run decomposed; on the streaming path
-// comparing it against PipelineWallSeconds measures the overlap won.
-func (s Stats) StageSeconds() float64 {
-	if s.PipelineWallSeconds > 0 {
-		// Streaming path: FilterWallSeconds is the wall the filter stream
-		// stayed open, which overlaps the other stages (and includes time
-		// spent waiting on producers); the filter's serial-equivalent cost
-		// is the modelled end-to-end filter time.
-		return s.SeedSeconds + s.FilterModelSeconds + s.VerifySeconds
-	}
-	return s.SeedSeconds + s.FilterWallSeconds + s.VerifySeconds
-}
-
-// OverlapSeconds is the stage time the streaming pipeline hid by running
-// seeding, filtering, and verification concurrently (zero on the one-shot
-// path, where PipelineWallSeconds is not populated).
-func (s Stats) OverlapSeconds() float64 {
-	if s.PipelineWallSeconds <= 0 {
-		return 0
-	}
-	if d := s.StageSeconds() - s.PipelineWallSeconds; d > 0 {
-		return d
-	}
-	return 0
 }
 
 // Reduction returns the fraction of candidate mappings the filter removed —
@@ -188,18 +178,8 @@ func New(ref []byte, cfg Config) (*Mapper, error) {
 // (contig, contig-relative position) coordinates.
 func NewFromReference(ref *Reference, cfg Config) (*Mapper, error) {
 	cfg.applyDefaults()
-	if cfg.ReadLen <= 0 {
-		return nil, fmt.Errorf("mapper: read length %d", cfg.ReadLen)
-	}
-	if cfg.MaxE < 0 || cfg.MaxE >= cfg.ReadLen {
-		return nil, fmt.Errorf("mapper: error threshold %d outside [0,%d)", cfg.MaxE, cfg.ReadLen)
-	}
-	if cfg.SeedLen > cfg.ReadLen {
-		return nil, fmt.Errorf("mapper: seed length %d exceeds read length %d", cfg.SeedLen, cfg.ReadLen)
-	}
-	if cfg.SeedStep < 1 || cfg.SeedStep > cfg.ReadLen-cfg.SeedLen+1 {
-		return nil, fmt.Errorf("mapper: seed step %d outside [1,%d] (probe span must fit the read)",
-			cfg.SeedStep, cfg.ReadLen-cfg.SeedLen+1)
+	if err := cfg.validate(); err != nil {
+		return nil, err
 	}
 	idx, err := NewSteppedReferenceIndex(ref, cfg.SeedLen, cfg.SeedStep)
 	if err != nil {
@@ -241,18 +221,8 @@ func NewFromSerializedIndex(ref *Reference, path string, cfg Config) (*Mapper, e
 	}
 	cfg.SeedLen, cfg.SeedStep = idx.K(), idx.Step()
 	cfg.applyDefaults()
-	if cfg.ReadLen <= 0 {
-		return nil, fmt.Errorf("mapper: read length %d", cfg.ReadLen)
-	}
-	if cfg.MaxE < 0 || cfg.MaxE >= cfg.ReadLen {
-		return nil, fmt.Errorf("mapper: error threshold %d outside [0,%d)", cfg.MaxE, cfg.ReadLen)
-	}
-	if cfg.SeedLen > cfg.ReadLen {
-		return nil, fmt.Errorf("mapper: seed length %d exceeds read length %d", cfg.SeedLen, cfg.ReadLen)
-	}
-	if cfg.SeedStep < 1 || cfg.SeedStep > cfg.ReadLen-cfg.SeedLen+1 {
-		return nil, fmt.Errorf("mapper: seed step %d outside [1,%d] (probe span must fit the read)",
-			cfg.SeedStep, cfg.ReadLen-cfg.SeedLen+1)
+	if err := cfg.validate(); err != nil {
+		return nil, err
 	}
 	return newMapperWithIndex(ref, cfg, idx)
 }
@@ -277,20 +247,21 @@ func (m *Mapper) Index() *Index { return m.idx }
 // Reference exposes the mapper's contig table.
 func (m *Mapper) Reference() *Reference { return m.ref }
 
-// candidates runs pigeonhole seeding for one read: e+1 seeds at evenly
-// spread offsets; each hit proposes the window that would place the read at
-// that seed offset. When the index is stepped, each pigeonhole seed fans
-// out over the step consecutive read offsets starting at its own — the
-// index holds one in every step contig-relative window starts, so whatever
-// phase the true alignment has, exactly one probe in the fan lines up with
-// a sampled reference window (found whenever the k+step-1 bases around the
-// seed are error-free, the stepped pigeonhole trade-off); at step 1 the fan
-// is the single historical probe. Windows that would run past the start or
-// end of the hit's contig — including into a neighbouring contig of the
-// concatenated sequence — are dropped here, before filtering, so a
-// cross-boundary candidate never reaches verification. Duplicates are
-// merged.
-func (m *Mapper) candidates(read []byte, e int) []int64 {
+// candidates runs pigeonhole seeding for one read, appending its candidate
+// window starts to dst in ascending order without duplicates: e+1 seeds at
+// evenly spread offsets; each hit proposes the window that would place the
+// read at that seed offset. When the index is stepped, each pigeonhole seed
+// fans out over the step consecutive read offsets starting at its own —
+// the index holds one in every step contig-relative window starts, so
+// whatever phase the true alignment has, exactly one probe in the fan
+// lines up with a sampled reference window (found whenever the k+step-1
+// bases around the seed are error-free, the stepped pigeonhole trade-off);
+// at step 1 the fan is the single historical probe. Windows that would run
+// past the start or end of the hit's contig — including into a
+// neighbouring contig of the concatenated sequence — are dropped here,
+// before filtering, so a cross-boundary candidate never reaches
+// verification.
+func (m *Mapper) candidates(dst []int64, read []byte, e int) []int64 {
 	L := m.cfg.ReadLen
 	k := m.idx.k
 	step := m.idx.step
@@ -301,7 +272,7 @@ func (m *Mapper) candidates(read []byte, e int) []int64 {
 	if nSeeds < 1 {
 		nSeeds = 1
 	}
-	var out []int64
+	start := len(dst)
 	for s := 0; s < nSeeds; s++ {
 		var off int
 		if nSeeds == 1 {
@@ -319,21 +290,23 @@ func (m *Mapper) candidates(read []byte, e int) []int64 {
 				if m.ref.WindowContig(int(pos), L) < 0 {
 					continue
 				}
-				out = append(out, pos)
+				dst = append(dst, pos)
 			}
 		}
 	}
+	out := dst[start:]
 	if len(out) == 0 {
-		return nil
+		return dst
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	dedup := out[:1]
+	slices.Sort(out)
+	n := 1
 	for _, p := range out[1:] {
-		if p != dedup[len(dedup)-1] {
-			dedup = append(dedup, p)
+		if p != out[n-1] {
+			out[n] = p
+			n++
 		}
 	}
-	return dedup
+	return dst[:start+n]
 }
 
 // workerCount resolves the configured pool width against the machine and the
@@ -388,16 +361,24 @@ func parallelFor(workers, n, grain int, body func(w, lo, hi int)) {
 	wg.Wait()
 }
 
-// MapReads maps every read at threshold e, batching candidates through the
-// configured pre-alignment filter (when present) before verification, and
-// returns the mappings in (read, position) order together with the run's
-// statistics. Seeding and verification fan out across the StreamWorkers
-// pool (and the engines parallelize filtering internally), so the one-shot
-// seeding→filter→verify pipeline runs at machine width end to end; the
-// result is bit-identical to a serial run for any pool size.
-func (m *Mapper) MapReads(reads [][]byte, e int) ([]Mapping, Stats, error) {
+// checkThreshold rejects a mapping threshold above the configured MaxE.
+func (m *Mapper) checkThreshold(e int) error {
 	if e > m.cfg.MaxE {
-		return nil, Stats{}, fmt.Errorf("mapper: threshold %d exceeds configured %d", e, m.cfg.MaxE)
+		return fmt.Errorf("mapper: threshold %d exceeds configured %d", e, m.cfg.MaxE)
+	}
+	return nil
+}
+
+// MapReads maps every read at threshold e and returns the mappings in
+// (read, contig, position, strand) order together with the run's
+// statistics. The reads are cut into batches of Config.MaxReadsPerBatch,
+// and each batch runs the mapping core: parallel seeding, one
+// pre-alignment filtering round over all its candidates, and parallel
+// verification of the survivors. The result is bit-identical for any batch
+// size and pool width. MapReadStream is the channel-fed form.
+func (m *Mapper) MapReads(reads [][]byte, e int) ([]Mapping, Stats, error) {
+	if err := m.checkThreshold(e); err != nil {
+		return nil, Stats{}, err
 	}
 	for i, r := range reads {
 		if len(r) != m.cfg.ReadLen {
@@ -405,177 +386,21 @@ func (m *Mapper) MapReads(reads [][]byte, e int) ([]Mapping, Stats, error) {
 				i, len(r), m.cfg.ReadLen)
 		}
 	}
-	var st Stats
-	var mappings []Mapping
-	totalStart := time.Now()
-	L := m.cfg.ReadLen
-	ref := m.idx.seq
-	// One verifier per pool worker, reused across batches.
-	verifiers := make([]align.Verifier, m.workerCount(math.MaxInt))
-
-	for lo := 0; lo < len(reads); lo += m.cfg.MaxReadsPerBatch {
-		hi := lo + m.cfg.MaxReadsPerBatch
-		if hi > len(reads) {
-			hi = len(reads)
+	s := m.newScratch(e)
+	for i, r := range reads {
+		if err := s.add(i, r); err != nil {
+			return nil, Stats{}, err
 		}
-		// The batch's query sequences: each read, plus its reverse
-		// complement when both-strand mapping is on.
-		type query struct {
-			readID  int
-			reverse bool
-		}
-		var batch [][]byte
-		var queries []query
-		for ri, read := range reads[lo:hi] {
-			batch = append(batch, read)
-			queries = append(queries, query{readID: lo + ri})
-			if m.cfg.BothStrands {
-				batch = append(batch, dna.ReverseComplement(read))
-				queries = append(queries, query{readID: lo + ri, reverse: true})
-			}
-		}
-
-		// Seeding: collect candidate locations for the whole batch, fanned
-		// out across the worker pool. Each query's candidate list lands in
-		// its own slot, and the flatten below walks slots in query order, so
-		// the candidate sequence is byte-identical to the serial walk.
-		seedStart := time.Now()
-		type cand struct {
-			query int // index into batch/queries
-			pos   int64
-		}
-		perQuery := make([][]int64, len(batch))
-		parallelFor(m.workerCount(len(batch)), len(batch), 8, func(_, lo, hi int) {
-			for qi := lo; qi < hi; qi++ {
-				perQuery[qi] = m.candidates(batch[qi], e)
-			}
-		})
-		var cands []cand
-		for qi := range perQuery {
-			for _, pos := range perQuery[qi] {
-				cands = append(cands, cand{query: qi, pos: pos})
-			}
-		}
-		st.SeedSeconds += time.Since(seedStart).Seconds()
-		st.CandidatePairs += int64(len(cands))
-		if len(cands) == 0 {
-			continue
-		}
-
-		// Preprocessing: fill the filtering buffers ("we fill the buffers
-		// with multiple reads and their candidate location indices").
-		prepStart := time.Now()
-		pairs := make([]gkgpu.Pair, len(cands))
-		for i, c := range cands {
-			pairs[i] = gkgpu.Pair{
-				Read: batch[c.query],
-				Ref:  ref[c.pos : int(c.pos)+L],
-			}
-		}
-		st.PreprocessSeconds += time.Since(prepStart).Seconds()
-
-		// Pre-alignment filtering: index-named when supported, otherwise
-		// over materialized pairs.
-		verdicts := make([]gkgpu.Result, len(pairs))
-		if m.candFilter != nil {
-			filtStart := time.Now()
-			gcands := make([]gkgpu.Candidate, len(cands))
-			for i, c := range cands {
-				gcands[i] = gkgpu.Candidate{ReadID: int64(c.query), Pos: c.pos}
-			}
-			res, err := m.candFilter.FilterCandidates(batch, gcands, e)
-			if err != nil {
-				return nil, Stats{}, fmt.Errorf("mapper: pre-alignment filter: %w", err)
-			}
-			copy(verdicts, res)
-			st.FilterWallSeconds += time.Since(filtStart).Seconds()
-		} else if m.cfg.Filter != nil {
-			filtStart := time.Now()
-			res, err := m.cfg.Filter.FilterPairs(pairs, e)
-			if err != nil {
-				return nil, Stats{}, fmt.Errorf("mapper: pre-alignment filter: %w", err)
-			}
-			copy(verdicts, res)
-			st.FilterWallSeconds += time.Since(filtStart).Seconds()
-		} else {
-			for i := range verdicts {
-				verdicts[i].Accept = true
-			}
-		}
-
-		// Verification: the bit-parallel verifier over surviving pairs,
-		// fanned out across the worker pool into per-candidate slots; the
-		// serial pass below tallies stats and appends surviving mappings in
-		// candidate order, so the mapping list equals the serial walk's
-		// before the final canonical sort.
-		verifyStart := time.Now()
-		slots := make([]Mapping, len(cands))
-		kept := make([]bool, len(cands))
-		parallelFor(m.workerCount(len(cands)), len(cands), 32, func(w, lo, hi int) {
-			v := &verifiers[w]
-			for i := lo; i < hi; i++ {
-				if !verdicts[i].Accept {
-					continue
-				}
-				d, ok := v.Verify(pairs[i].Read, pairs[i].Ref, e)
-				if !ok {
-					continue
-				}
-				c := cands[i]
-				q := queries[c.query]
-				ci, rel := m.ref.Locate(int(c.pos))
-				slots[i] = Mapping{ReadID: q.readID, Contig: ci, Pos: rel, Distance: d, Reverse: q.reverse}
-				if m.cfg.Traceback {
-					slots[i].CIGAR = string(v.CIGARCompat())
-				}
-				kept[i] = true
-			}
-		})
-		for i := range cands {
-			if !verdicts[i].Accept {
-				st.RejectedPairs++
-				continue
-			}
-			if verdicts[i].Undefined {
-				st.UndefinedPairs++
-			}
-			st.VerificationPairs++
-			if kept[i] {
-				mappings = append(mappings, slots[i])
-			}
-		}
-		st.VerifySeconds += time.Since(verifyStart).Seconds()
 	}
-
-	// Recompute aggregate counters from the mapping list (cheap and exact).
-	st.Mappings = int64(len(mappings))
-	mapped := make(map[int]bool, len(reads))
-	for _, m := range mappings {
-		mapped[m.ReadID] = true
-	}
-	st.MappedReads = int64(len(mapped))
-	st.Reads = int64(len(reads))
-	if eng, ok := m.cfg.Filter.(*gkgpu.Engine); ok {
-		st.FilterKernelModel = eng.Stats().KernelSeconds
-		st.FilterModelSeconds = eng.Stats().FilterSeconds
-		st.FilterPrepModel = eng.Stats().HostPrepSeconds
-	}
-	if eng, ok := m.cfg.Filter.(*gkgpu.CPUEngine); ok {
-		st.FilterKernelModel = eng.Stats().KernelSeconds
-		st.FilterModelSeconds = eng.Stats().FilterSeconds
-	}
-	st.TotalSeconds = time.Since(totalStart).Seconds()
-
-	sortMappings(mappings)
-	return mappings, st, nil
+	return s.finish()
 }
 
 // sortMappings puts a mapping list into the mapper's canonical report order:
 // (read, contig, position, strand). Contigs order as the reference lays them
 // out, so the order equals the historical flat-position order; the strand
-// tie-break keeps it fully deterministic — MapReads and MapStream must emit
-// byte-identical output — even for the rare read whose forward and
-// reverse-complement queries map at the same position.
+// tie-break keeps it fully deterministic — every entry point must emit
+// byte-identical output for any batch size — even for the rare read whose
+// forward and reverse-complement queries map at the same position.
 func sortMappings(mappings []Mapping) {
 	sort.Slice(mappings, func(i, j int) bool {
 		if mappings[i].ReadID != mappings[j].ReadID {

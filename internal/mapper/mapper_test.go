@@ -2,7 +2,9 @@ package mapper
 
 import (
 	"bytes"
+	"math"
 	"math/rand"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -186,6 +188,48 @@ func TestMapperWithGPUFilterSameMappings(t *testing.T) {
 	}
 }
 
+func TestMapReadsModelClocksPerCall(t *testing.T) {
+	// The modelled filter clocks belong to the call that produced them, not
+	// to the engine's lifetime: mapping the same reads twice on one engine
+	// reports the same clocks both times.
+	g := testGenome(120_000)
+	reads, err := simdata.SimulateReads(g, simdata.Illumina100, 80, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seqs := make([][]byte, len(reads))
+	for i, r := range reads {
+		seqs[i] = r.Seq
+	}
+	eng, err := gkgpu.NewEngine(gkgpu.Config{ReadLen: 100, MaxE: 5, MaxBatchPairs: 4096},
+		cuda.NewUniformContext(1, cuda.GTX1080Ti()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+	m, err := New(g, Config{ReadLen: 100, MaxE: 5, Filter: eng})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, first, err := m.MapReads(seqs, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, second, err := m.MapReads(seqs, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if first.FilterKernelModel <= 0 || first.FilterModelSeconds <= 0 {
+		t.Fatalf("modelled filter clocks not captured: %+v", first)
+	}
+	// Equal up to the rounding of the delta the mapper takes.
+	near := func(a, b float64) bool { return math.Abs(a-b) <= 1e-9*b }
+	if !near(second.FilterKernelModel, first.FilterKernelModel) || !near(second.FilterModelSeconds, first.FilterModelSeconds) {
+		t.Fatalf("second call reported cumulative clocks: kernel %g vs %g, filter %g vs %g",
+			second.FilterKernelModel, first.FilterKernelModel, second.FilterModelSeconds, first.FilterModelSeconds)
+	}
+}
+
 func TestMapperBatchingInvariance(t *testing.T) {
 	g := testGenome(120_000)
 	reads, err := simdata.SimulateReads(g, simdata.Illumina100, 60, 4)
@@ -222,14 +266,31 @@ func TestMapperBatchingInvariance(t *testing.T) {
 
 func TestMapperValidation(t *testing.T) {
 	g := testGenome(50_000)
-	if _, err := New(g, Config{ReadLen: 0, MaxE: 2}); err == nil {
-		t.Fatal("zero read length accepted")
+	// Both constructors validate the same geometry; the serialized index
+	// contributes its k=13 and step=3.
+	idx, err := NewSteppedReferenceIndex(SingleContig("", g), 13, 3)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, err := New(g, Config{ReadLen: 100, MaxE: 100}); err == nil {
-		t.Fatal("e >= L accepted")
+	path := filepath.Join(t.TempDir(), "g.gkix")
+	if err := idx.SerializeToFile(path); err != nil {
+		t.Fatal(err)
 	}
-	if _, err := New(g, Config{ReadLen: 10, MaxE: 2, SeedLen: 13}); err == nil {
-		t.Fatal("seed longer than read accepted")
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+	}{
+		{"zero read length", Config{ReadLen: 0, MaxE: 2}},
+		{"e >= L", Config{ReadLen: 100, MaxE: 100}},
+		{"seed longer than read", Config{ReadLen: 10, MaxE: 2}},
+		{"seed step past the probe span", Config{ReadLen: 14, MaxE: 2, SeedStep: 3}},
+	} {
+		if _, err := New(g, tc.cfg); err == nil {
+			t.Fatalf("New: %s accepted", tc.name)
+		}
+		if _, err := NewFromSerializedIndex(SingleContig("", g), path, tc.cfg); err == nil {
+			t.Fatalf("NewFromSerializedIndex: %s accepted", tc.name)
+		}
 	}
 	m, err := New(g, Config{ReadLen: 100, MaxE: 3})
 	if err != nil {

@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"math"
 	"sort"
-
-	"repro/internal/dna"
 )
 
 // ReadPair is one mate pair from an FR (forward/reverse) paired-end library:
@@ -53,31 +51,42 @@ func checkInsertWindow(win InsertWindow, readLen int) error {
 	return nil
 }
 
-// MapPairs maps read pairs through the streaming pipeline and resolves
-// concordant pairs: both mates mapped to the same contig in compatible
-// orientation with the fragment length inside the insert window. Each pair contributes at most
-// one PairMapping — the combination with the smallest summed edit distance
+// MapPairs maps read pairs and resolves concordant pairs: both mates
+// mapped to the same contig in compatible orientation with the fragment
+// length inside the insert window. Each pair contributes at most one
+// PairMapping — the combination with the smallest summed edit distance
 // (leftmost, then shortest insert, on ties). R1 is mapped as-is and R2 as
 // its reverse complement, the FR orientation; under Config.BothStrands a
 // fragment from the opposite strand is also found, as the combination where
 // both mates' mappings carry Reverse=true. A zero-value win estimates the
 // window from a sample of confidently mapped pairs (EstimateInsertWindow).
 //
-// The returned Stats are MapStream's for the interleaved 2n mate reads,
-// with the paired-end accounting (ReadPairs, ConcordantPairs, the window
-// used and any estimate behind it) filled in. MapPairStream is the
+// The mates run through the mapping core as interleaved reads (read 2i is
+// R1 of pair i, read 2i+1 the reverse complement of its R2), batched as
+// MapReads batches reads. The returned Stats are those of the 2n mate
+// reads, with the paired-end accounting (ReadPairs, ConcordantPairs, the
+// window used and any estimate behind it) filled in. MapPairStream is the
 // channel-fed form.
 func (m *Mapper) MapPairs(pairs []ReadPair, e int, win InsertWindow) ([]PairMapping, Stats, error) {
 	if err := checkInsertWindow(win, m.cfg.ReadLen); err != nil {
 		return nil, Stats{}, err
 	}
-	// Interleave the mates so one streaming pass maps both: query 2i is R1
-	// of pair i, query 2i+1 is the reverse complement of its R2.
-	seqs := make([][]byte, 0, 2*len(pairs))
-	for _, p := range pairs {
-		seqs = append(seqs, p.R1, dna.ReverseComplement(p.R2))
+	if err := m.checkThreshold(e); err != nil {
+		return nil, Stats{}, err
 	}
-	mappings, st, err := m.MapStream(seqs, e)
+	for i, p := range pairs {
+		if len(p.R1) != m.cfg.ReadLen || len(p.R2) != m.cfg.ReadLen {
+			return nil, Stats{}, fmt.Errorf("mapper: pair %d has mate lengths %d/%d, mapper built for %d",
+				i, len(p.R1), len(p.R2), m.cfg.ReadLen)
+		}
+	}
+	s := m.newScratch(e)
+	for i, p := range pairs {
+		if err := s.addPair(i, p.R1, p.R2); err != nil {
+			return nil, Stats{}, err
+		}
+	}
+	mappings, st, err := s.finish()
 	if err != nil {
 		return nil, st, err
 	}

@@ -1,10 +1,9 @@
 package mapper
 
 import (
-	"context"
 	"fmt"
 
-	"repro/internal/dna"
+	"repro/internal/gkgpu"
 )
 
 // Read is one named read arriving on a channel — the ingestion unit of
@@ -23,93 +22,79 @@ type PairRead struct {
 	R1, R2 []byte
 }
 
-// MapReadStream is the channel-fed MapStream: reads enter the overlapped
-// seeding → filter-stream → verification pipeline as they arrive from in
-// (a FASTQ decoder, a network source), so the read set is never
+// MapReadStream is the channel-fed MapReads: reads are received from in
+// (a FASTQ decoder, a network source) until a batch of
+// Config.MaxReadsPerBatch is full or in closes, each batch runs the same
+// mapping core as MapReads, and receiving resumes. The read set is never
 // materialized — the mapper retains no reference to a sequence once its
-// candidates are verified, and peak memory is bounded by in-flight work,
-// not input size.
+// batch is mapped — so peak memory is bounded by the batch size, not the
+// input size.
 //
 // ReadIDs are assigned in arrival order, so the output is byte-identical
-// to MapStream over the same records collected into a slice. The producer
+// to MapReads over the same records collected into a slice. The producer
 // must close in; on a terminal error (wrong-length record, filter failure)
 // the remaining input is drained and discarded so the producer never
-// blocks.
-func (m *Mapper) MapReadStream(in <-chan Read, e int) ([]Mapping, Stats, error) {
-	var reads int64
-	mappings, st, err := m.mapQueryStream(e, func(ctx context.Context, out chan<- streamQuery) error {
-		defer drain(in)
-		id := 0
-		for r := range in {
-			if len(r.Seq) != m.cfg.ReadLen {
-				return fmt.Errorf("mapper: streamed read %d (%q) has length %d, mapper built for %d",
-					id, r.Name, len(r.Seq), m.cfg.ReadLen)
-			}
-			if !sendQuery(ctx, out, streamQuery{readID: id, seq: r.Seq}) {
-				return nil
-			}
-			if m.cfg.BothStrands {
-				q := streamQuery{readID: id, reverse: true, seq: dna.ReverseComplement(r.Seq)}
-				if !sendQuery(ctx, out, q) {
-					return nil
-				}
-			}
-			id++
-		}
-		reads = int64(id)
-		return nil
-	})
-	if err != nil {
-		// The feed closure drains in when it runs; errors raised before it
-		// starts (threshold validation, filter-stream open failure) must
-		// honor the never-block guarantee too. Draining an already-drained
-		// closed channel is a no-op.
-		go drain(in)
+// blocks. A filter failure is wrapped in gkgpu.ErrStreamAborted, as a
+// failed engine stream is.
+func (m *Mapper) MapReadStream(in <-chan Read, e int) (_ []Mapping, _ Stats, err error) {
+	defer drainOnError(in, &err)
+	if err := m.checkThreshold(e); err != nil {
 		return nil, Stats{}, err
 	}
-	st.Reads = reads
+	s := m.newScratch(e)
+	id := 0
+	for r := range in {
+		if len(r.Seq) != m.cfg.ReadLen {
+			return nil, Stats{}, fmt.Errorf("mapper: streamed read %d (%q) has length %d, mapper built for %d",
+				id, r.Name, len(r.Seq), m.cfg.ReadLen)
+		}
+		if err := s.add(id, r.Seq); err != nil {
+			return nil, Stats{}, streamAborted(err)
+		}
+		id++
+	}
+	mappings, st, err := s.finish()
+	if err != nil {
+		return nil, Stats{}, streamAborted(err)
+	}
 	return mappings, st, nil
 }
 
-// MapPairStream is the channel-fed MapPairs: mate pairs enter the streaming
-// pipeline as they arrive (each pair as its two interleaved mate queries,
-// R1 forward and R2 reverse-complemented) and concordant pairs are resolved
-// once the stream ends. A zero-value win estimates the insert window from
-// the mapped sample (EstimateInsertWindow), as MapPairs does.
+// MapPairStream is the channel-fed MapPairs: mate pairs are received from
+// in and batched as MapReadStream batches reads (each pair as its two mate
+// reads, R1 forward and R2 reverse-complemented), and concordant pairs are
+// resolved once in closes. A zero-value win estimates the insert window
+// from the mapped sample (EstimateInsertWindow), as MapPairs does.
 //
 // The producer must close in; on a terminal error the remaining input is
-// drained and discarded so the producer never blocks. Output is identical
-// to MapPairs over the same pairs collected into a slice.
-func (m *Mapper) MapPairStream(in <-chan PairRead, e int, win InsertWindow) ([]PairMapping, Stats, error) {
+// drained and discarded so the producer never blocks, and a filter failure
+// is wrapped in gkgpu.ErrStreamAborted. Output is identical to MapPairs
+// over the same pairs collected into a slice.
+func (m *Mapper) MapPairStream(in <-chan PairRead, e int, win InsertWindow) (_ []PairMapping, _ Stats, err error) {
+	defer drainOnError(in, &err)
 	if err := checkInsertWindow(win, m.cfg.ReadLen); err != nil {
-		go drain(in) // never-block guarantee: see MapReadStream
 		return nil, Stats{}, err
 	}
-	var nPairs int64
-	mappings, st, err := m.mapQueryStream(e, func(ctx context.Context, out chan<- streamQuery) error {
-		defer drain(in)
-		id := 0
-		for p := range in {
-			if len(p.R1) != m.cfg.ReadLen || len(p.R2) != m.cfg.ReadLen {
-				return fmt.Errorf("mapper: streamed pair %d (%q) has mate lengths %d/%d, mapper built for %d",
-					id, p.Name, len(p.R1), len(p.R2), m.cfg.ReadLen)
-			}
-			if !m.feedMate(ctx, out, 2*id, p.R1) {
-				return nil
-			}
-			if !m.feedMate(ctx, out, 2*id+1, dna.ReverseComplement(p.R2)) {
-				return nil
-			}
-			id++
-		}
-		nPairs = int64(id)
-		return nil
-	})
-	if err != nil {
-		go drain(in) // never-block guarantee: see MapReadStream
-		return nil, st, err
+	if err := m.checkThreshold(e); err != nil {
+		return nil, Stats{}, err
 	}
-	st.ReadPairs = nPairs
+	s := m.newScratch(e)
+	id := 0
+	for p := range in {
+		if len(p.R1) != m.cfg.ReadLen || len(p.R2) != m.cfg.ReadLen {
+			return nil, Stats{}, fmt.Errorf("mapper: streamed pair %d (%q) has mate lengths %d/%d, mapper built for %d",
+				id, p.Name, len(p.R1), len(p.R2), m.cfg.ReadLen)
+		}
+		if err := s.addPair(id, p.R1, p.R2); err != nil {
+			return nil, Stats{}, streamAborted(err)
+		}
+		id++
+	}
+	mappings, st, err := s.finish()
+	if err != nil {
+		return nil, Stats{}, streamAborted(err)
+	}
+	st.ReadPairs = int64(id)
 	resolved, err := m.resolveConcordant(mappings, win, &st)
 	if err != nil {
 		return nil, st, err
@@ -117,24 +102,20 @@ func (m *Mapper) MapPairStream(in <-chan PairRead, e int, win InsertWindow) ([]P
 	return resolved, st, nil
 }
 
-// feedMate sends one mate query (and its reverse complement under
-// Config.BothStrands) into the pipeline.
-func (m *Mapper) feedMate(ctx context.Context, out chan<- streamQuery, readID int, seq []byte) bool {
-	if !sendQuery(ctx, out, streamQuery{readID: readID, seq: seq}) {
-		return false
-	}
-	if m.cfg.BothStrands {
-		q := streamQuery{readID: readID, reverse: true, seq: dna.ReverseComplement(seq)}
-		if !sendQuery(ctx, out, q) {
-			return false
-		}
-	}
-	return true
+// streamAborted marks a channel-fed call's filter failure as a terminal
+// stream abort, keeping the classified fault behind it.
+func streamAborted(err error) error {
+	return fmt.Errorf("%w: %w", gkgpu.ErrStreamAborted, err)
 }
 
-// drain discards the rest of a channel so its producer can finish sending
-// and close it.
-func drain[T any](ch <-chan T) {
-	for range ch {
+// drainOnError keeps the never-block promise of the channel-fed entry
+// points: once the call has failed (*err set), the rest of ch is discarded
+// in the background so its producer can finish sending and close it.
+func drainOnError[T any](ch <-chan T, err *error) {
+	if *err != nil {
+		go func() {
+			for range ch {
+			}
+		}()
 	}
 }

@@ -357,20 +357,7 @@ func TestNoCrossBoundaryCandidates(t *testing.T) {
 		}
 	}
 
-	// The streaming paths agree mapping for mapping.
-	streamed, _, err := m.MapStream(reads, e)
-	if err != nil {
-		t.Fatal(err)
-	}
-	check(t, streamed)
-	if len(streamed) != len(mappings) {
-		t.Fatalf("MapStream drifted: %d vs %d mappings", len(streamed), len(mappings))
-	}
-	for i := range streamed {
-		if streamed[i] != mappings[i] {
-			t.Fatalf("MapStream mapping %d drifted: %+v vs %+v", i, streamed[i], mappings[i])
-		}
-	}
+	// The channel-fed path agrees mapping for mapping.
 	ch := make(chan Read, 8)
 	go func() {
 		defer close(ch)
@@ -383,6 +370,7 @@ func TestNoCrossBoundaryCandidates(t *testing.T) {
 		t.Fatal(err)
 	}
 	check(t, fed)
+	mustEqualMappings(t, fed, mappings, "channel-fed")
 }
 
 // TestMultiContigGoldenSAM plants exact reads on three tiny contigs and

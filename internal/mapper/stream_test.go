@@ -1,6 +1,7 @@
 package mapper
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -24,12 +25,19 @@ func mustEqualMappings(t *testing.T, got, want []Mapping, label string) {
 	}
 }
 
+// pairsOnly hides every method of a filter but FilterPairs, so the mapper
+// takes its materialized-pair path.
+type pairsOnly struct{ f PreFilter }
+
+func (p pairsOnly) FilterPairs(pairs []gkgpu.Pair, e int) ([]gkgpu.Result, error) {
+	return p.f.FilterPairs(pairs, e)
+}
+
 func TestMapStreamMatchesMapReads(t *testing.T) {
-	// The ordering/consistency contract of the streaming pipeline: whatever
-	// the worker count or filter mode, MapStream must produce byte-identical
-	// output to the one-shot path. Run with -race in CI: the seeding pool is
-	// a set of concurrent producers into the filter stream and the
-	// verification pool a set of concurrent consumers.
+	// The streaming contract: whatever the worker count or filter mode,
+	// the channel-fed MapReadStream must produce byte-identical output and
+	// decision counters to the one-shot MapReads. Run with -race in CI: both
+	// fan seeding and verification out over the worker pool.
 	g := testGenome(150_000)
 	reads, err := simdata.SimulateReads(g, simdata.Illumina100, 120, 11)
 	if err != nil {
@@ -41,8 +49,8 @@ func TestMapStreamMatchesMapReads(t *testing.T) {
 	}
 
 	mkGPU := func(t *testing.T) PreFilter {
-		eng, err := gkgpu.NewEngine(gkgpu.Config{ReadLen: 100, MaxE: 5, MaxBatchPairs: 2048,
-			StreamBatchPairs: 64}, cuda.NewUniformContext(2, cuda.GTX1080Ti()))
+		eng, err := gkgpu.NewEngine(gkgpu.Config{ReadLen: 100, MaxE: 5, MaxBatchPairs: 2048},
+			cuda.NewUniformContext(2, cuda.GTX1080Ti()))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -54,7 +62,7 @@ func TestMapStreamMatchesMapReads(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return cpu
+		return pairsOnly{cpu}
 	}
 	cases := []struct {
 		name string
@@ -80,7 +88,7 @@ func TestMapStreamMatchesMapReads(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				got, gotStats, err := strm.MapStream(seqs, 5)
+				got, gotStats, err := strm.MapReadStream(feedReads(seqs), 5)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -93,12 +101,6 @@ func TestMapStreamMatchesMapReads(t *testing.T) {
 				}
 				if gotStats.RejectedPairs+gotStats.VerificationPairs != gotStats.CandidatePairs {
 					t.Fatal("candidate accounting does not add up")
-				}
-				if gotStats.PipelineWallSeconds <= 0 {
-					t.Fatal("PipelineWallSeconds not populated on the streaming path")
-				}
-				if gotStats.OverlapSeconds() < 0 {
-					t.Fatal("negative overlap")
 				}
 			}
 		})
@@ -127,7 +129,7 @@ func TestMapStreamTracebackMatchesMapReads(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, _, err := strm.MapStream(seqs, 4)
+	got, _, err := strm.MapReadStream(feedReads(seqs), 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,19 +147,126 @@ func TestMapStreamValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := m.MapStream([][]byte{make([]byte, 40)}, 3); err == nil {
+	if _, _, err := m.MapReadStream(feedReads([][]byte{make([]byte, 40)}), 3); err == nil {
 		t.Fatal("wrong-length read accepted")
 	}
-	if _, _, err := m.MapStream(nil, 4); err == nil {
+	if _, _, err := m.MapReadStream(feedReads(nil), 4); err == nil {
 		t.Fatal("threshold above MaxE accepted")
 	}
 	// Empty input is a valid, empty run.
-	mappings, st, err := m.MapStream(nil, 3)
+	mappings, st, err := m.MapReadStream(feedReads(nil), 3)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(mappings) != 0 || st.Reads != 0 {
 		t.Fatalf("empty stream mapped something: %d mappings, %+v", len(mappings), st)
+	}
+}
+
+func TestMultiBatchIdentity(t *testing.T) {
+	// A 7-read batch splits mate pairs across batches and leaves ragged
+	// final batches. Batching is a schedule, not a decision input: the
+	// channel-fed entry points must equal the slice-fed ones, and both must
+	// equal a single-batch run, on every filter path, with and without
+	// both-strand mapping, at any pool width.
+	g := testGenome(150_000)
+	reads, err := simdata.SimulateReads(g, simdata.Illumina100, 61, 31)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seqs := make([][]byte, len(reads))
+	for i, r := range reads {
+		seqs[i] = r.Seq
+	}
+	simPairs, err := simdata.SimulatePairs(g, simdata.Illumina100, 25, 400, 40, 32)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pairs := make([]ReadPair, len(simPairs))
+	for i, p := range simPairs {
+		pairs[i] = ReadPair{R1: p.R1.Seq, R2: p.R2.Seq}
+	}
+	win := InsertWindow{Min: 240, Max: 560}
+
+	gpu, err := gkgpu.NewEngine(gkgpu.Config{ReadLen: 100, MaxE: 5, MaxBatchPairs: 2048},
+		cuda.NewUniformContext(2, cuda.GTX1080Ti()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(gpu.Close)
+	cpu, err := gkgpu.NewCPUEngine(100, 5, 3, gkgpu.Setup1(), cuda.DefaultCostModel())
+	if err != nil {
+		t.Fatal(err)
+	}
+	filters := []struct {
+		name string
+		f    PreFilter
+	}{{"gpu-candidates", gpu}, {"cpu-pairs", pairsOnly{cpu}}, {"none", nil}}
+
+	sameCounters := func(t *testing.T, got, want Stats, label string) {
+		t.Helper()
+		if got.Reads != want.Reads || got.CandidatePairs != want.CandidatePairs ||
+			got.RejectedPairs != want.RejectedPairs || got.UndefinedPairs != want.UndefinedPairs ||
+			got.VerificationPairs != want.VerificationPairs || got.Mappings != want.Mappings ||
+			got.MappedReads != want.MappedReads || got.ConcordantPairs != want.ConcordantPairs {
+			t.Fatalf("%s: counters drifted:\ngot  %+v\nwant %+v", label, got, want)
+		}
+	}
+	for _, fc := range filters {
+		for _, both := range []bool{false, true} {
+			cfg := Config{ReadLen: 100, MaxE: 5, BothStrands: both, Filter: fc.f, MaxReadsPerBatch: 1 << 20}
+			one, err := New(g, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, wantSt, err := one.MapReads(seqs, 5)
+			if err != nil {
+				t.Fatal(err)
+			}
+			wantP, wantPSt, err := one.MapPairs(pairs, 5, win)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, workers := range []int{1, 2, 7} {
+				label := fmt.Sprintf("%s both=%v workers=%d", fc.name, both, workers)
+				cfg.MaxReadsPerBatch, cfg.StreamWorkers = 7, workers
+				m, err := New(g, cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, st, err := m.MapReads(seqs, 5)
+				if err != nil {
+					t.Fatal(err)
+				}
+				mustEqualMappings(t, got, want, label+" MapReads")
+				sameCounters(t, st, wantSt, label+" MapReads")
+				got, st, err = m.MapReadStream(feedReads(seqs), 5)
+				if err != nil {
+					t.Fatal(err)
+				}
+				mustEqualMappings(t, got, want, label+" MapReadStream")
+				sameCounters(t, st, wantSt, label+" MapReadStream")
+
+				for _, paired := range []func() ([]PairMapping, Stats, error){
+					func() ([]PairMapping, Stats, error) { return m.MapPairs(pairs, 5, win) },
+					func() ([]PairMapping, Stats, error) { return m.MapPairStream(feedPairs(pairs), 5, win) },
+				} {
+					gotP, pst, err := paired()
+					if err != nil {
+						t.Fatal(err)
+					}
+					if len(gotP) != len(wantP) {
+						t.Fatalf("%s: %d concordant pairs, single batch %d", label, len(gotP), len(wantP))
+					}
+					for i := range gotP {
+						if gotP[i] != wantP[i] {
+							t.Fatalf("%s: pair %d drifted: %+v vs %+v", label, i, gotP[i], wantP[i])
+						}
+					}
+					sameCounters(t, pst, wantPSt, label+" paired")
+				}
+			}
+		}
 	}
 }
 
